@@ -1,78 +1,110 @@
-"""Benchmark the flight-phase kernel: compiled backend vs pure numpy.
+"""Time the flight-phase kernel on ebri cell grids of growing size.
 
-Builds an imputation-shaped balance problem (an n_m x n_r donor grid with
-one balance row and per-row purity constraints) and times both backends on
-identical inputs.  The two must agree bit for bit; the point of the numbers
-is to justify keeping the compiled path as the default.
+Each grid is an n x n imputation grid (n nonrespondent rows, n donor
+columns, one balance row plus n purity rows) built the way ``impute_ebri``
+builds it, through ``CellPopulation.balance_problem``.  For every grid the
+script reports the build time, the flight time (median and range over the
+repeats), flight steps per second, and the peak resident set size of this
+process after the grid, read with ``resource.getrusage``.  Grids run in
+ascending size, so each peak covers that grid and the smaller ones before it.
 
 Run from the repo root:
 
-    python3 benchmarks/bench_flight_phase.py --rows 50 --cols 50 --repeats 20
+    PYTHONPATH=src python3 benchmarks/bench_flight_phase.py --out BENCH.json
 """
 
 import argparse
+import json
+import os
+import platform
+import resource
 import statistics
+import sys
 import time
 
 import numpy as np
 
-from balimpute._backend import NUMBA_ENABLED
-from balimpute.cube import BalanceProblem, flight_phase
+from balimpute.cube import flight_phase
+from balimpute.imputation import CellPopulation
 
 
-def build_problem(n_rows: int, n_cols: int, rng: np.random.Generator) -> BalanceProblem:
-    dv = 1.0 + rng.random(n_rows)
-    residuals = rng.standard_normal(n_cols)
-    a = np.empty((1 + n_rows, n_rows * n_cols))
-    a[0] = np.outer(dv, residuals).ravel()
-    for k in range(n_rows):
-        row = np.zeros(n_rows * n_cols)
-        row[k * n_cols:(k + 1) * n_cols] = 1.0
-        a[1 + k] = row
-    pi0 = np.full(n_rows * n_cols, 1.0 / n_cols)
-    return BalanceProblem(pi0=pi0, a_matrix=a)
+def build_cells(n: int, rng: np.random.Generator) -> CellPopulation:
+    return CellPopulation(
+        row_units=np.arange(n),
+        col_units=np.arange(n, 2 * n),
+        psi=np.full((n, n), 1.0 / n),
+        residuals=rng.standard_normal(n),
+        dv=1.0 + rng.random(n),
+        with_purity_vars=True,
+    )
 
 
-def time_backend(problem: BalanceProblem, backend: str, seed: int, repeats: int):
-    rng = np.random.default_rng(seed)
-    result = flight_phase(problem, rng, backend=backend)
+def peak_rss_mb() -> float:
+    # ru_maxrss is in kilobytes on Linux, bytes on macOS
+    scale = 1.0 if sys.platform == "darwin" else 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 1e6
+
+
+def time_grid(n: int, seed: int, repeats: int) -> dict:
+    cells = build_cells(n, np.random.default_rng(seed))
+    t0 = time.perf_counter()
+    problem = cells.balance_problem()
+    build_s = time.perf_counter() - t0
     times = []
     for _ in range(repeats):
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
-        result = flight_phase(problem, rng, backend=backend)
+        result = flight_phase(problem, rng)
         times.append(time.perf_counter() - t0)
-    return result, times
+    med = statistics.median(times)
+    return {
+        "grid": f"{n}x{n}",
+        "cells": problem.n_cells,
+        "constraints": problem.n_constraints,
+        "steps": result.steps,
+        "build_ms": round(build_s * 1e3, 2),
+        "flight_ms_median": round(med * 1e3, 2),
+        "flight_ms_min": round(min(times) * 1e3, 2),
+        "flight_ms_max": round(max(times) * 1e3, 2),
+        "steps_per_s": round(result.steps / med),
+        "peak_rss_mb": round(peak_rss_mb(), 1),
+    }
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rows", type=int, default=50, help="nonrespondent rows")
-    parser.add_argument("--cols", type=int, default=50, help="donor columns")
-    parser.add_argument("--repeats", type=int, default=20)
+    parser.add_argument("--grids", default="50,100,200,500",
+                        help="comma-separated grid sides n (n x n cells each)")
+    parser.add_argument("--repeats", type=int, default=3, help="flights timed per grid")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", help="also write the results as JSON here")
     args = parser.parse_args()
 
-    problem = build_problem(args.rows, args.cols, np.random.default_rng(args.seed))
-    m = problem.n_cells
-    print(f"problem: {args.rows} x {args.cols} grid, {m} cells, "
-          f"{problem.n_constraints} constraints")
-
-    backends = ["numpy"] + (["numba"] if NUMBA_ENABLED else [])
-    results = {}
-    for backend in backends:
-        result, times = time_backend(problem, backend, args.seed, args.repeats)
-        results[backend] = result
-        print(f"{backend:>6}: median {statistics.median(times) * 1e3:8.2f} ms  "
-              f"min {min(times) * 1e3:8.2f} ms  ({result.steps} steps)")
-
-    if len(results) == 2:
-        same = np.array_equal(results["numba"].itilde, results["numpy"].itilde)
-        print(f"backends bitwise identical: {same}")
-        if not same:
-            return 1
-    else:
-        print("compiled backend unavailable; timed numpy only")
+    report = {
+        "benchmark": "flight_phase on n x n ebri grids",
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "machine": platform.machine(),
+        },
+        "repeats": args.repeats,
+        "seed": args.seed,
+        "grids": [],
+    }
+    env = report["environment"]
+    print(f"python {env['python']}, numpy {env['numpy']}, {env['cpu_count']} cpus; "
+          f"{args.repeats} flights per grid")
+    for n in sorted(int(x) for x in args.grids.split(",")):
+        row = time_grid(n, args.seed, args.repeats)
+        report["grids"].append(row)
+        print(f"{row['grid']:>9}: {row['cells']:>7} cells  {row['steps']:>7} steps  "
+              f"flight {row['flight_ms_median']:10.1f} ms  "
+              f"{row['steps_per_s']:>8} steps/s  peak RSS {row['peak_rss_mb']:7.1f} MB")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
     return 0
 
 

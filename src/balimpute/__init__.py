@@ -8,7 +8,7 @@ values keep the donor-level spread.
 
 __version__ = "0.1.0"
 
-from ._backend import NUMBA_ENABLED, default_workers
+from ._backend import default_workers
 from .cube import BalanceProblem, FlightPhaseError, FlightResult, flight_phase, snap_integers
 from .estimators import fhat, fn_population, ht_total, imputed_fhat, imputed_total, nhat, quantile
 from .harness import (
@@ -34,7 +34,7 @@ from .imputation import (
     impute_rri,
     imputed_values,
 )
-from .linalg import eig_sym, kernel_basis, spectral_norm
+from .linalg import eig_sym, spectral_norm
 from .population import (
     Population,
     PopulationRecipe,
@@ -55,7 +55,6 @@ from .sampling import (
 )
 
 __all__ = [
-    "NUMBA_ENABLED",
     "default_workers",
     "BalanceProblem",
     "FlightPhaseError",
@@ -89,7 +88,6 @@ __all__ = [
     "impute_rri",
     "imputed_values",
     "eig_sym",
-    "kernel_basis",
     "spectral_norm",
     "Population",
     "PopulationRecipe",

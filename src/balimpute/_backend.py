@@ -1,44 +1,6 @@
-"""Numba backend selection.
-
-The hot kernels (cube-method flight phase) exist in two equivalent forms: a
-scalar loop compiled with numba and a vectorized pure-numpy twin.  Which one
-runs is decided once at import time:
-
-* ``BALIMPUTE_NUMBA=0`` (or ``false``/``off``/``no``) forces the numpy path;
-* otherwise numba is used when it imports cleanly.
-
-``NUMBA_ENABLED`` records the outcome so tests and benchmarks can introspect.
-"""
+"""Worker-pool sizing for the Monte Carlo harness."""
 
 import os
-
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("BALIMPUTE_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        # signature-compatible no-op decorator
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
 
 DEFAULT_WORKERS_ENV = "BALIMPUTE_WORKERS"
 

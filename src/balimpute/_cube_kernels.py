@@ -1,32 +1,44 @@
-"""Flight-phase random walk kernels, in two interchangeable forms.
+"""Flight-phase random walk over a balancing matrix stored by column.
 
-``_flight_scalar`` is a straight-line scalar loop meant for numba; when numba
-is active it gets compiled below.  ``_flight_numpy`` is the vectorized twin
-used when numba is off.  Both implement the identical walk:
+The walk, one step at a time:
 
-1. restrict the balancing matrix to the currently fractional coordinates,
-   taken in ascending index order;
-2. find the first dependent column of that restricted matrix (Gauss-Jordan
-   with partial pivoting) and read off the null vector it defines, which is
-   the first kernel-basis vector under this ordering;
+1. take the fractional coordinates in ascending index order and read their
+   balancing columns one by one, stopping at the first column that depends
+   on the ones before it (Gauss-Jordan with partial pivoting);
+2. read off the null vector that column defines, which is the first
+   kernel-basis vector of the restricted matrix under this ordering;
 3. step to whichever box face the null direction hits, choosing the sign with
    the probability that keeps every coordinate a martingale;
 4. snap coordinates that reached a face and repeat until the restricted
    kernel is trivial.
 
-Because every column before the first dependent one is a pivot, the null
-vector never involves more than min(q + 1, #fractional) leading fractional
-columns, so only that window is ever eliminated.  The walk consumes exactly
-one uniform per step, passed in as a pre-drawn array so that both backends
-follow the same trajectory.
+Every column before the first dependent one is a pivot, so that column lies
+within the first min(q + 1, #fractional) fractional columns: the window of
+Chauvet & Tille (2006).  Only the columns up to it are read.  Each column is
+reduced by replaying the earlier pivot operations on it (row swap, pivot-row
+division, elimination) in the order a batch Gauss-Jordan over the window
+would apply them, so the floating-point operations, the first-position
+tie-break of partial pivoting and the resulting trajectory are exactly those
+of the batch elimination.  A column touches only its nonzero rows; on the
+imputation grid that is two, and the dependent column is found within four.
+
+The pivot tolerance is PIVOT_RTOL times the largest |a| over the first
+min(q + 1, #fractional) fractional columns.  A candidate above PIVOT_RTOL
+times the largest |a| of the whole matrix clears that tolerance whatever the
+window holds, so the window maximum is only computed for the rare candidate
+below it.
+
+The fractional coordinates are kept in a list in descending index order, so
+the window is its tail and the cells a step fixes are dropped in place.  The
+walk consumes exactly one pre-drawn uniform per step.
 
 Status codes: 0 done, 1 degenerate step length, 2 no coordinate fixed,
 3 uniforms exhausted.
 """
 
-import numpy as np
+import math
 
-from ._backend import NUMBA_ENABLED, njit
+import numpy as np
 
 FLIGHT_OK = 0
 FLIGHT_DEGENERATE = 1
@@ -34,232 +46,136 @@ FLIGHT_STALLED = 2
 FLIGHT_NO_RANDOMNESS = 3
 
 
-def _flight_scalar(pi, a, u, eps_int, pivot_rtol, lam_guard, record, history):
-    q, m = a.shape
+def _swap_rows(col, i, j):
+    x_i = col.pop(i, None)
+    x_j = col.pop(j, None)
+    if x_i is not None:
+        col[j] = x_i
+    if x_j is not None:
+        col[i] = x_j
 
-    for k in range(m):
-        if abs(pi[k]) <= eps_int:
-            pi[k] = 0.0
-        elif abs(pi[k] - 1.0) <= eps_int:
-            pi[k] = 1.0
 
-    free = np.empty(m, dtype=np.int64)
-    nf = 0
-    for k in range(m):
-        if 0.0 < pi[k] < 1.0:
-            free[nf] = k
-            nf += 1
+def flight(pi, n_rows, col_ptr, row_idx, values, u, eps_int, pivot_rtol,
+           lam_guard, history=None):
+    """Run the walk on ``pi`` in place; returns (status, steps).
 
-    if record:
-        for k in range(m):
-            history[0, k] = pi[k]
-
-    wmax = q + 1
-    w_mat = np.empty((q, wmax))
-    piv_col = np.empty(q, dtype=np.int64)
-    vwin = np.empty(wmax)
+    Column c of the q x M balancing matrix has the nonzeros
+    ``values[col_ptr[c]:col_ptr[c + 1]]`` in rows ``row_idx[...]``.  When
+    ``history`` is an (M + 1) x M array, row t receives pi after step t.
+    """
+    pi[np.abs(pi) <= eps_int] = 0.0
+    pi[np.abs(pi - 1.0) <= eps_int] = 1.0
+    if history is not None:
+        history[0] = pi
+    free = np.flatnonzero((pi > 0.0) & (pi < 1.0))[::-1].tolist()
+    x_pi = pi.tolist()
+    ptr = col_ptr.tolist()
+    rows = row_idx.tolist()
+    vals = values.tolist()
+    clear = pivot_rtol * (float(np.abs(values).max()) if values.size else 0.0)
+    wmax = n_rows + 1
 
     t = 0
-    while nf > 0:
+    status = FLIGHT_OK
+    while free:
+        nf = len(free)
         w = wmax if nf > wmax else nf
-        for j in range(w):
-            kj = free[j]
-            for i in range(q):
-                w_mat[i, j] = a[i, kj]
-
-        amax = 0.0
-        for j in range(w):
-            for i in range(q):
-                x = abs(w_mat[i, j])
-                if x > amax:
-                    amax = x
-        tol = pivot_rtol * amax
-
-        jd = -1
-        r = 0
-        for j in range(w):
-            p_row = -1
-            best = tol
-            for i in range(r, q):
-                x = abs(w_mat[i, j])
-                if x > best:
-                    best = x
-                    p_row = i
-            if p_row < 0:
-                jd = j
+        tol = -1.0  # the window tolerance, computed on first need
+        # pivot k: (row swapped into row k, pivot value, the pivot column's
+        # entries in the other rows after the swap)
+        pivots = []
+        while True:
+            r = len(pivots)
+            if r == w:
                 break
+            c = free[-1 - r]
+            col = dict(zip(rows[ptr[c]:ptr[c + 1]], vals[ptr[c]:ptr[c + 1]]))
+            for k, (swap, piv, fac) in enumerate(pivots):
+                if swap != k:
+                    _swap_rows(col, swap, k)
+                x = col.get(k)
+                if x is not None:
+                    x /= piv
+                    col[k] = x
+                    for i, f in fac:
+                        col[i] = col.get(i, 0.0) - f * x
+
+            best = 0.0
+            p_row = -1
+            for i, x in col.items():
+                if i >= r:
+                    x = abs(x)
+                    if x > best or (x == best and i < p_row):
+                        best = x
+                        p_row = i
+            if best == 0.0:
+                break
+            if best <= clear:
+                if tol < 0.0:
+                    tol = pivot_rtol * max(
+                        (abs(vals[e]) for k in free[-w:] for e in range(ptr[k], ptr[k + 1])),
+                        default=0.0,
+                    )
+                if best <= tol:
+                    break
+
             if p_row != r:
-                for c in range(j, w):
-                    tmp = w_mat[r, c]
-                    w_mat[r, c] = w_mat[p_row, c]
-                    w_mat[p_row, c] = tmp
-            piv = w_mat[r, j]
-            for c in range(j, w):
-                w_mat[r, c] /= piv
-            for i in range(q):
-                if i != r:
-                    f = w_mat[i, j]
-                    if f != 0.0:
-                        for c in range(j, w):
-                            w_mat[i, c] -= f * w_mat[r, c]
-            piv_col[r] = j
-            r += 1
-        if jd < 0:
-            return FLIGHT_OK, t
+                _swap_rows(col, p_row, r)
+            piv = col.pop(r)
+            pivots.append((p_row, piv, list(col.items())))
+        if r == w:
+            break
 
-        for j in range(w):
-            vwin[j] = 0.0
-        vwin[jd] = 1.0
-        for rr in range(r):
-            vwin[piv_col[rr]] = -w_mat[rr, jd]
+        # null vector on window cells free[-1], ..., free[-1 - r]
+        direction = [-col.get(k, 0.0) for k in range(r)]
+        direction.append(1.0)
 
-        lam1 = np.inf
-        lam2 = np.inf
-        for j in range(w):
-            val = vwin[j]
+        lam1 = math.inf
+        lam2 = math.inf
+        for j, val in enumerate(direction):
             if val > lam_guard:
-                k = free[j]
-                c1 = (1.0 - pi[k]) / val
-                c2 = pi[k] / val
-                if c1 < lam1:
-                    lam1 = c1
-                if c2 < lam2:
-                    lam2 = c2
+                cur = x_pi[free[-1 - j]]
+                c1 = (1.0 - cur) / val
+                c2 = cur / val
             elif val < -lam_guard:
-                k = free[j]
-                c1 = pi[k] / (-val)
-                c2 = (1.0 - pi[k]) / (-val)
-                if c1 < lam1:
-                    lam1 = c1
-                if c2 < lam2:
-                    lam2 = c2
-        if not (np.isfinite(lam1) and np.isfinite(lam2)) or lam1 <= 0.0 or lam2 <= 0.0:
-            return FLIGHT_DEGENERATE, t
+                cur = x_pi[free[-1 - j]]
+                c1 = cur / (-val)
+                c2 = (1.0 - cur) / (-val)
+            else:
+                continue
+            if c1 < lam1:
+                lam1 = c1
+            if c2 < lam2:
+                lam2 = c2
+        if not (math.isfinite(lam1) and math.isfinite(lam2)) or lam1 <= 0.0 or lam2 <= 0.0:
+            status = FLIGHT_DEGENERATE
+            break
 
         if t >= u.shape[0]:
-            return FLIGHT_NO_RANDOMNESS, t
+            status = FLIGHT_NO_RANDOMNESS
+            break
         step = lam1 if u[t] < lam2 / (lam1 + lam2) else -lam2
 
-        for j in range(w):
-            val = vwin[j]
+        for j, val in enumerate(direction):
             if val > lam_guard or val < -lam_guard:
-                k = free[j]
-                x = pi[k] + step * val
+                k = free[-1 - j]
+                x = x_pi[k] + step * val
                 if abs(x) <= eps_int:
                     x = 0.0
                 elif abs(x - 1.0) <= eps_int:
                     x = 1.0
-                pi[k] = x
+                x_pi[k] = x
 
         t += 1
-        if record:
-            for k in range(m):
-                history[t, k] = pi[k]
+        if history is not None:
+            history[t] = x_pi
 
-        nf_new = 0
-        for idx in range(nf):
-            k = free[idx]
-            if 0.0 < pi[k] < 1.0:
-                free[nf_new] = k
-                nf_new += 1
-        if nf_new == nf:
-            return FLIGHT_STALLED, t
-        nf = nf_new
+        window = free[-1 - r:]
+        kept = [k for k in window if 0.0 < x_pi[k] < 1.0]
+        if len(kept) == len(window):
+            status = FLIGHT_STALLED
+            break
+        free[-1 - r:] = kept
 
-    return FLIGHT_OK, t
-
-
-def _flight_numpy(pi, a, u, eps_int, pivot_rtol, lam_guard, record, history):
-    q, m = a.shape
-
-    near0 = np.abs(pi) <= eps_int
-    near1 = np.abs(pi - 1.0) <= eps_int
-    pi[near0] = 0.0
-    pi[near1] = 1.0
-
-    free = np.flatnonzero((pi > 0.0) & (pi < 1.0)).astype(np.int64)
-
-    if record:
-        history[0] = pi
-
-    wmax = q + 1
-    t = 0
-    while free.size > 0:
-        w = min(wmax, free.size)
-        window = free[:w]
-        w_mat = a[:, window].copy()
-
-        amax = np.abs(w_mat).max() if w_mat.size else 0.0
-        tol = pivot_rtol * amax
-
-        jd = -1
-        r = 0
-        piv_col = np.empty(q, dtype=np.int64)
-        for j in range(w):
-            col = np.abs(w_mat[r:, j])
-            p_rel = int(col.argmax()) if col.size else -1
-            if p_rel < 0 or col[p_rel] <= tol:
-                jd = j
-                break
-            p_row = r + p_rel
-            if p_row != r:
-                w_mat[[p_row, r]] = w_mat[[r, p_row]]
-            w_mat[r] /= w_mat[r, j]
-            fac = w_mat[:, j].copy()
-            fac[r] = 0.0
-            w_mat -= np.outer(fac, w_mat[r])
-            piv_col[r] = j
-            r += 1
-        if jd < 0:
-            return FLIGHT_OK, t
-
-        vwin = np.zeros(w)
-        vwin[jd] = 1.0
-        if r > 0:
-            vwin[piv_col[:r]] = -w_mat[:r, jd]
-
-        sup = np.abs(vwin) > lam_guard
-        vals = vwin[sup]
-        cur = pi[window[sup]]
-        up = np.where(vals > 0.0, (1.0 - cur) / vals, cur / (-vals))
-        dn = np.where(vals > 0.0, cur / vals, (1.0 - cur) / (-vals))
-        lam1 = up.min() if up.size else np.inf
-        lam2 = dn.min() if dn.size else np.inf
-        if not (np.isfinite(lam1) and np.isfinite(lam2)) or lam1 <= 0.0 or lam2 <= 0.0:
-            return FLIGHT_DEGENERATE, t
-
-        if t >= u.shape[0]:
-            return FLIGHT_NO_RANDOMNESS, t
-        step = lam1 if u[t] < lam2 / (lam1 + lam2) else -lam2
-
-        kidx = window[sup]
-        x = pi[kidx] + step * vals
-        x[np.abs(x) <= eps_int] = 0.0
-        x[np.abs(x - 1.0) <= eps_int] = 1.0
-        pi[kidx] = x
-
-        t += 1
-        if record:
-            history[t] = pi
-
-        keep = (pi[free] > 0.0) & (pi[free] < 1.0)
-        if keep.all():
-            return FLIGHT_STALLED, t
-        free = free[keep]
-
-    return FLIGHT_OK, t
-
-
-if NUMBA_ENABLED:
-    _flight_scalar = njit(cache=True)(_flight_scalar)
-
-
-def flight_kernel(backend: str):
-    """Kernel picker: 'numba' (compiled scalar) or 'numpy' (vectorized)."""
-    if backend == "numba":
-        if not NUMBA_ENABLED:
-            raise RuntimeError("numba backend requested but numba is disabled")
-        return _flight_scalar
-    if backend == "numpy":
-        return _flight_numpy
-    raise ValueError(f"unknown backend {backend!r}")
+    pi[:] = x_pi
+    return status, t

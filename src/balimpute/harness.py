@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import NUMBA_ENABLED, default_workers
+from ._backend import default_workers
+from .cube import FlightPhaseError
 from .estimators import fn_population, ht_total, imputed_fhat, imputed_total, quantile
 from .imputation import (
     Mar,
@@ -30,11 +31,15 @@ from .imputation import (
 )
 from .population import PopulationRecipe, generate_population
 from .regression import fit_model
-from .sampling import pips_probabilities, rejective_sample, srswor
+from .sampling import SamplingError, pips_probabilities, rejective_sample, srswor
 
 log = logging.getLogger(__name__)
 
 MAX_ABORT_FRACTION = 0.01
+# Numerical failures a replicate may end in: the flight phase stops, the
+# rejective sampler does not reach the target size, or the drawn sample has
+# no donors.  Any other exception is a bug and propagates.
+ABORT_ERRORS = (FlightPhaseError, SamplingError, ValueError)
 METHODS = ("dri", "rri", "ebri")
 
 
@@ -224,7 +229,7 @@ def _run_chunk(args):
         try:
             est = _replicate_estimates(z1, y, v, pi, n_population, design, n,
                                        mechanism, methods, t_alpha, seed, ip, im, r)
-        except Exception as exc:  # aborted replicate: recorded, never silently dropped
+        except ABORT_ERRORS as exc:  # aborted replicate: recorded, never silently dropped
             results.append((r, None, f"{type(exc).__name__}: {exc}"))
         else:
             results.append((r, est, None))
@@ -367,7 +372,6 @@ def write_tables(result: MonteCarloResult, outdir) -> None:
 
     meta = {
         "config": cfg.to_dict(),
-        "backend": "numba" if NUMBA_ENABLED else "numpy",
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -375,12 +379,6 @@ def write_tables(result: MonteCarloResult, outdir) -> None:
         "aborted": {f"{c.population}:{c.mechanism}": c.n_aborted for c in result.cells},
         "timings": {"elapsed_seconds": result.elapsed_seconds},
     }
-    try:
-        import numba
-
-        meta["versions"]["numba"] = numba.__version__
-    except ImportError:  # pragma: no cover
-        pass
     with open(os.path.join(outdir, "run_meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

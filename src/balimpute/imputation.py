@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .cube import BalanceProblem, FlightResult, flight_phase
+from .cube import BalanceColumns, BalanceProblem, FlightResult, flight_phase
 from .regression import FittedModel
 
 MAR_CALIBRATION_TOL = 1e-6
@@ -131,7 +131,8 @@ class CellPopulation:
     to the cells in row-major order and already carries the division of the
     balancing variables by psi, so it is built directly from the quotients:
     row 0 holds d_k v_k^{1/2} e_l, and with purity variables on, row 1 + k
-    is the indicator of nonrespondent row k.
+    is the indicator of nonrespondent row k.  It is built by column, two
+    nonzeros per cell, never as a dense (1 + n_m) x (n_m n_r) array.
     """
 
     row_units: npt.NDArray[np.int64]
@@ -153,12 +154,16 @@ class CellPopulation:
         n_m, n_r = self.psi.shape
         m = n_m * n_r
         q = 1 + n_m if self.with_purity_vars else 1
-        a = np.zeros((q, m))
-        a[0] = np.outer(self.dv, self.residuals).ravel()
+        per = 2 if self.with_purity_vars else 1  # nonzeros per column
+        cells = np.repeat(np.arange(m), per)
+        rows = np.zeros(per * m, dtype=np.int64)
+        vals = np.ones(per * m)
+        vals[0::per] = np.outer(self.dv, self.residuals).ravel()
         if self.with_purity_vars:
-            for k in range(n_m):
-                a[1 + k, k * n_r : (k + 1) * n_r] = 1.0
-        return BalanceProblem(pi0=self.psi.ravel().copy(), a_matrix=a)
+            # column k * n_r + l: row 0 holds its balance entry, row 1 + k a 1
+            rows[1::2] = np.repeat(np.arange(1, n_m + 1), n_r)
+        columns = BalanceColumns.from_entries(q, m, cells, rows, vals)
+        return BalanceProblem(pi0=self.psi.ravel().copy(), columns=columns)
 
 
 def build_cells(
@@ -276,7 +281,6 @@ def impute_ebri(
     d,
     rng: np.random.Generator,
     with_purity_vars: bool = True,
-    backend: str | None = None,
 ) -> ImputedDataset:
     """Exact balanced random imputation via one flight phase over the cells."""
     z, y_star, v, rows, cols, mu = _base_arrays(model, z, y, v)
@@ -285,7 +289,7 @@ def impute_ebri(
         return _finish("ebri", model, y_star, v, rows, cols, mu,
                        np.zeros(0), None, None, None)
     cells = build_cells(model, d, v, with_purity_vars=with_purity_vars)
-    flight = flight_phase(cells.balance_problem(), rng, backend=backend)
+    flight = flight_phase(cells.balance_problem(), rng)
     itilde = flight.itilde.reshape(cells.n_rows, cells.n_cols)
     eps_rows = itilde @ cells.residuals
     frac = flight.fractional.reshape(cells.n_rows, cells.n_cols)

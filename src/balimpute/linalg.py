@@ -1,9 +1,7 @@
-"""Symmetric eigen-decomposition and restricted kernel bases.
+"""Symmetric eigen-decomposition.
 
-Two consumers drive the shape of this module: the regularized regression fit
-needs eigenvalue clipping of a symmetric moment matrix, and the flight phase
-needs null-space directions of a balancing matrix restricted to a subset of
-its columns.  Everything returns plain ndarrays.
+The regularized regression fit needs eigenvalue clipping of a symmetric
+moment matrix.  Everything returns plain ndarrays.
 """
 
 from dataclasses import dataclass
@@ -12,7 +10,6 @@ import numpy as np
 import numpy.typing as npt
 
 SYMMETRY_RTOL = 1e-12
-PIVOT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,69 +47,3 @@ def spectral_norm(m: npt.NDArray[np.float64]) -> float:
     if m.shape[0] == 0:
         return 0.0
     return float(np.abs(np.linalg.eigvalsh(m)).max())
-
-
-def kernel_basis(
-    a: npt.NDArray[np.float64], cols: npt.NDArray[np.int64] | list[int]
-) -> list[npt.NDArray[np.float64]]:
-    """Basis of the null space of ``a`` restricted to the given columns.
-
-    Returns vectors of full length ``a.shape[1]`` that are zero outside
-    ``cols`` and satisfy ``a @ v = 0``.  Column ordering is deterministic:
-    basis vectors are indexed by the free (non-pivot) columns of the
-    restricted matrix in ascending column order, so repeated calls on the
-    same input give the same list.  Empty list iff the restricted kernel is
-    trivial.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    q, p = a.shape
-    cols = np.asarray(cols, dtype=np.int64)
-    if cols.size == 0:
-        return []
-    if cols.min() < 0 or cols.max() >= p:
-        raise ValueError("column index out of range")
-    if np.unique(cols).size != cols.size:
-        raise ValueError("duplicate column indices")
-    cols = np.sort(cols)
-
-    w = a[:, cols].copy()
-    c = cols.size
-    tol = PIVOT_RTOL * np.abs(w).max() if w.size else 0.0
-
-    # Gauss-Jordan with partial pivoting; pivot rows normalized, eliminated
-    # above and below, so dependent columns read off their coefficients
-    # directly against the pivot columns.
-    piv_col = []
-    free_col = []
-    r = 0
-    for j in range(c):
-        p_row = -1
-        best = tol
-        for i in range(r, q):
-            if abs(w[i, j]) > best:
-                best = abs(w[i, j])
-                p_row = i
-        if p_row < 0:
-            free_col.append(j)
-            continue
-        if p_row != r:
-            w[[p_row, r]] = w[[r, p_row]]
-        w[r] /= w[r, j]
-        fac = w[:, j].copy()
-        fac[r] = 0.0
-        w -= np.outer(fac, w[r])
-        piv_col.append(j)
-        r += 1
-
-    basis = []
-    for j in free_col:
-        v = np.zeros(p)
-        v[cols[j]] = 1.0
-        for rr, pc in enumerate(piv_col):
-            v[cols[pc]] = -w[rr, j]
-        basis.append(v)
-    return basis

@@ -16,6 +16,10 @@ import numpy.typing as npt
 MAX_REJECTIVE_ATTEMPTS = 1_000_000
 
 
+class SamplingError(RuntimeError):
+    """The rejective sampler did not reach the target size."""
+
+
 @dataclass(frozen=True)
 class SampleData:
     """A drawn sample: population indices, inclusion probs, design weights.
@@ -113,7 +117,7 @@ def rejective_sample(pi: npt.NDArray[np.float64], rng: np.random.Generator) -> S
         mask = rng.random(pi.size) < pi
         if int(mask.sum()) == n_target:
             return _sample_from(np.flatnonzero(mask), pi)
-    raise RuntimeError("rejective sampling did not reach the target size")
+    raise SamplingError("rejective sampling did not reach the target size")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from balimpute._backend import NUMBA_ENABLED
 from balimpute.cube import (
     BalanceProblem,
     FlightPhaseError,
@@ -109,18 +108,6 @@ def test_snap_integers():
     assert np.array_equal(snapped, np.array([1.0, 0.0, 0.5, 0.3]))
 
 
-def test_backend_equivalence_bitwise():
-    if not NUMBA_ENABLED:
-        pytest.skip("compiled backend unavailable")
-    for seed in range(25):
-        rng = np.random.default_rng(600 + seed)
-        problem = random_problem(rng)
-        r1 = flight_phase(problem, np.random.default_rng(seed), backend="numba")
-        r2 = flight_phase(problem, np.random.default_rng(seed), backend="numpy")
-        assert np.array_equal(r1.itilde, r2.itilde), seed
-        assert r1.steps == r2.steps
-
-
 def test_rng_consumption_is_step_independent():
     # exactly n_cells uniforms are consumed whatever trajectory is taken
     problem = BalanceProblem(pi0=np.full(5, 0.4), a_matrix=np.ones((1, 5)))
@@ -138,12 +125,6 @@ def test_problem_validation():
         BalanceProblem(pi0=np.array([0.5, 0.5]), a_matrix=np.ones((1, 3)))
     with pytest.raises(ValueError):
         BalanceProblem(pi0=np.array([0.5]), a_matrix=np.array([[np.inf]]))
-
-
-def test_unknown_backend_rejected():
-    problem = BalanceProblem(pi0=np.array([0.5, 0.5]), a_matrix=np.ones((1, 2)))
-    with pytest.raises(ValueError):
-        flight_phase(problem, np.random.default_rng(0), backend="fortran")
 
 
 def test_write_trace_csv(tmp_path):

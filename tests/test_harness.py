@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from balimpute.cube import FlightPhaseError
 from balimpute.harness import (
     ExperimentConfig,
     MechanismSpec,
@@ -129,7 +130,7 @@ def test_aborted_replicates_are_counted(monkeypatch, caplog):
     def flaky(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] == 3:
-            raise RuntimeError("synthetic failure")
+            raise FlightPhaseError("synthetic failure")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(H, "impute_rri", flaky)
@@ -146,11 +147,23 @@ def test_too_many_aborts_fail_the_run(monkeypatch):
     import balimpute.harness as H
 
     def broken(*args, **kwargs):
-        raise RuntimeError("always down")
+        raise FlightPhaseError("always down")
 
     monkeypatch.setattr(H, "impute_ebri", broken)
     with pytest.raises(RuntimeError, match="aborted"):
         run_experiment(tiny_config(replications=20, workers=1))
+
+
+def test_bug_in_a_replicate_propagates(monkeypatch):
+    # only declared numerical failures count as aborted replicates
+    import balimpute.harness as H
+
+    def buggy(*args, **kwargs):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setattr(H, "impute_ebri", buggy)
+    with pytest.raises(TypeError, match="not a numerical failure"):
+        run_experiment(tiny_config(replications=400, workers=1))
 
 
 def test_write_tables_layout(tmp_path):

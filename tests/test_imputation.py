@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from flight_oracle import dense
 
 from balimpute.estimators import imputed_total
 from balimpute.imputation import (
@@ -95,10 +98,33 @@ def test_build_cells_thompson_grid():
     assert np.all(cells.psi == pytest.approx(1 / 6, rel=1e-12))
     problem = cells.balance_problem()
     assert problem.n_constraints == 5
+    assert problem.a_matrix is None
+    a = dense(problem.columns)
     expected_row0 = np.outer(th.d[6:] * np.sqrt(th.z1[6:]), fit.residuals[:6]).ravel()
-    np.testing.assert_array_equal(problem.a_matrix[0], expected_row0)
-    assert problem.a_matrix[1, :6].sum() == 6.0
-    assert problem.a_matrix[1, 6:].sum() == 0.0
+    np.testing.assert_array_equal(a[0], expected_row0)
+    assert a[1, :6].sum() == 6.0
+    assert a[1, 6:].sum() == 0.0
+    # two nonzeros per cell: its balance entry and its row's purity 1
+    assert np.array_equal(problem.columns.col_ptr, np.arange(0, 2 * 24 + 1, 2))
+
+
+def test_balance_problem_memory_is_linear_in_cells():
+    # a 500 x 500 grid; as a dense (1 + 500) x 250,000 matrix it would take 1.0 GB
+    rng = np.random.default_rng(21)
+    n = 1000
+    z1 = rng.gamma(2.0, 5.0, size=n)
+    respond = np.arange(n) % 2 == 0
+    y = np.where(respond, 2.0 * z1 + np.sqrt(z1) * rng.standard_normal(n), np.nan)
+    fit = fit_model(z1[:, None], y, z1, respond, 10 * n)
+    d = np.full(n, 10.0)
+    tracemalloc.start()
+    try:
+        problem = build_cells(fit, d, z1).balance_problem()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert problem.n_cells == 250_000 and problem.n_constraints == 501
+    assert peak_mb < 64.0, peak_mb
 
 
 def test_fit_requires_donors():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from balimpute.linalg import eig_sym, kernel_basis, spectral_norm
+from balimpute.linalg import eig_sym, spectral_norm
 
 
 def random_symmetric(rng, p):
@@ -47,44 +47,3 @@ def test_spectral_norm_matches_eigenvalues():
         assert nrm == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(a))), rel=1e-10)
         x = rng.standard_normal(a.shape[0])
         assert np.linalg.norm(a @ x) <= nrm * np.linalg.norm(x) + 1e-9
-
-
-def test_kernel_basis_annihilates_and_spans():
-    for seed in range(40):
-        rng = np.random.default_rng(200 + seed)
-        p = int(rng.integers(2, 7))
-        q = int(rng.integers(1, p + 1))
-        a = rng.standard_normal((q, p))
-        ncols = int(rng.integers(1, p + 1))
-        cols = np.sort(rng.choice(p, size=ncols, replace=False))
-        basis = kernel_basis(a, cols)
-        expected_dim = ncols - np.linalg.matrix_rank(a[:, cols])
-        assert len(basis) == expected_dim
-        for v in basis:
-            assert np.max(np.abs(a @ v)) < 1e-10 * max(1.0, np.max(np.abs(a)))
-            # support stays inside the allowed columns
-            outside = np.delete(np.arange(p), cols)
-            assert np.all(v[outside] == 0.0)
-
-
-def test_kernel_basis_first_vector_window():
-    # with q independent rows, every column before the first dependent one is
-    # a pivot, so the first basis vector only touches the first q+1 columns
-    for seed in range(30):
-        rng = np.random.default_rng(300 + seed)
-        q = int(rng.integers(1, 4))
-        p = q + int(rng.integers(1, 5))
-        a = rng.standard_normal((q, p))
-        cols = np.arange(p)
-        basis = kernel_basis(a, cols)
-        assert len(basis) == p - q
-        first = basis[0]
-        assert np.all(first[q + 1:] == 0.0)
-
-
-def test_kernel_basis_rejects_duplicates():
-    a = np.ones((1, 3))
-    with pytest.raises(ValueError):
-        kernel_basis(a, np.array([0, 0]))
-    with pytest.raises(ValueError):
-        kernel_basis(a, np.array([0, 5]))

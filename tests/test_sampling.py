@@ -5,6 +5,7 @@ import pytest
 
 from balimpute.sampling import (
     SampleData,
+    SamplingError,
     pips_probabilities,
     rejective_sample,
     sample_from_csv,
@@ -80,6 +81,14 @@ def test_rejective_sample_shape():
 def test_rejective_rejects_noninteger_total():
     with pytest.raises(ValueError):
         rejective_sample(np.array([0.5, 0.6]), np.random.default_rng(0))
+
+
+def test_rejective_no_convergence_is_typed(monkeypatch):
+    import balimpute.sampling as S
+
+    monkeypatch.setattr(S, "MAX_REJECTIVE_ATTEMPTS", 0)
+    with pytest.raises(SamplingError, match="did not reach the target size"):
+        rejective_sample(np.array([0.5, 0.5]), np.random.default_rng(0))
 
 
 def test_srswor_uniform_over_pairs():
