@@ -32,6 +32,15 @@ The fractional coordinates are kept in a list in descending index order, so
 the window is its tail and the cells a step fixes are dropped in place.  The
 walk consumes exactly one pre-drawn uniform per step.
 
+The pivots are carried from one step to the next.  Pivot k depends only on
+the ordered window columns 0..k, and a step leaves the columns in front of the
+first cell it fixes where they were, so the pivots of those columns still
+hold and the next step resumes the elimination at that cell.  The exception
+is a pivot accepted only because it clears the window tolerance: the
+tolerance reads the whole window, which the step changed, so that pivot and
+every one after it are dropped.  Carried or not, each pivot is the one the
+batch elimination over the current window would produce.
+
 Status codes: 0 done, 1 degenerate step length, 2 no coordinate fixed,
 3 uniforms exhausted.
 """
@@ -77,13 +86,14 @@ def flight(pi, n_rows, col_ptr, row_idx, values, u, eps_int, pivot_rtol,
 
     t = 0
     status = FLIGHT_OK
+    # pivot k: (row swapped into row k, pivot value, the pivot column's
+    # entries in the other rows after the swap); carried across steps
+    pivots = []
     while free:
         nf = len(free)
         w = wmax if nf > wmax else nf
         tol = -1.0  # the window tolerance, computed on first need
-        # pivot k: (row swapped into row k, pivot value, the pivot column's
-        # entries in the other rows after the swap)
-        pivots = []
+        carry = w  # pivots[carry:] were accepted on the window tolerance
         while True:
             r = len(pivots)
             if r == w:
@@ -118,6 +128,8 @@ def flight(pi, n_rows, col_ptr, row_idx, values, u, eps_int, pivot_rtol,
                     )
                 if best <= tol:
                     break
+                if carry > r:
+                    carry = r
 
             if p_row != r:
                 _swap_rows(col, p_row, r)
@@ -156,6 +168,7 @@ def flight(pi, n_rows, col_ptr, row_idx, values, u, eps_int, pivot_rtol,
             break
         step = lam1 if u[t] < lam2 / (lam1 + lam2) else -lam2
 
+        fixed = -1  # first window position the step fixes
         for j, val in enumerate(direction):
             if val > lam_guard or val < -lam_guard:
                 k = free[-1 - j]
@@ -165,17 +178,18 @@ def flight(pi, n_rows, col_ptr, row_idx, values, u, eps_int, pivot_rtol,
                 elif abs(x - 1.0) <= eps_int:
                     x = 1.0
                 x_pi[k] = x
+                if fixed < 0 and not 0.0 < x < 1.0:
+                    fixed = j
 
         t += 1
         if history is not None:
             history[t] = x_pi
 
-        window = free[-1 - r:]
-        kept = [k for k in window if 0.0 < x_pi[k] < 1.0]
-        if len(kept) == len(window):
+        if fixed < 0:
             status = FLIGHT_STALLED
             break
-        free[-1 - r:] = kept
+        free[-1 - r:] = [k for k in free[-1 - r:] if 0.0 < x_pi[k] < 1.0]
+        del pivots[min(fixed, carry):]
 
     pi[:] = x_pi
     return status, t

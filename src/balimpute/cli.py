@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimators import ht_total, imputed_total, nhat
+from .estimators import imputed_total, nhat
 from .harness import ExperimentConfig, run_experiment, write_tables
-from .imputation import impute_dri, impute_ebri, impute_rri, imputed_values
+from .imputation import impute_dri, impute_ebri, impute_rri
 from .population import (
     PopulationRecipe,
     generate_population,

@@ -19,9 +19,8 @@ import numpy as np
 
 from ._backend import default_workers
 from .cube import FlightPhaseError
-from .estimators import fn_population, ht_total, imputed_fhat, imputed_total, quantile
+from .estimators import fn_population, imputed_fhat, imputed_total, quantile
 from .imputation import (
-    Mar,
     Mcar,
     calibrate_mar,
     generate_response,
@@ -260,7 +259,7 @@ def run_experiment(config: ExperimentConfig) -> MonteCarloResult:
 
             reps = list(range(config.replications))
             chunk_args = []
-            chunk = max(1, min(64, len(reps) // max(workers, 1) + 1))
+            chunk = min(64, -(-len(reps) // max(workers, 1)))  # ceiling division
             for start in range(0, len(reps), chunk):
                 chunk_args.append((pop.z1, pop.y, pop.v, pi, pop.size,
                                    config.design, n, mechanism, config.methods,

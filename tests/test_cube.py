@@ -3,7 +3,6 @@ import pytest
 
 from balimpute.cube import (
     BalanceProblem,
-    FlightPhaseError,
     flight_phase,
     snap_integers,
     write_trace_csv,

@@ -94,6 +94,17 @@ def test_purity_grid_matches_oracle(n):
     assert st == FLIGHT_OK and steps > n * n - 2 * n
 
 
+@pytest.mark.parametrize("n_m, n_r", [(25, 75), (10, 90)])
+def test_rectangular_grid_matches_oracle(n_m, n_r):
+    # the grid shapes of the Monte Carlo workloads (n = 100 at 75% and 90%
+    # response); on them most steps carry pivots over to the next step whose
+    # columns lie in two nonrespondent rows, so the carry crosses a purity row
+    problem = grid_problem(n_m, n_r, seed=n_m)
+    for seed in range(3):
+        st, steps = assert_same_walk(problem, seed)
+        assert st == FLIGHT_OK and steps > n_m * n_r - 2 * n_m
+
+
 def test_grid_without_purity_matches_oracle():
     problem = grid_problem(30, 30, seed=3, with_purity_vars=False)
     st, _ = assert_same_walk(problem, seed=8)

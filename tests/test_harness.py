@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from balimpute import harness
 from balimpute.cube import FlightPhaseError
 from balimpute.harness import (
     ExperimentConfig,
@@ -92,6 +93,43 @@ def test_worker_count_does_not_change_results():
     b = run_experiment(tiny_config(workers=2))
     assert a.cells[0].rb == b.cells[0].rb
     assert a.cells[0].mse == b.cells[0].mse
+
+
+def test_uneven_chunks_give_identical_tables(tmp_path):
+    # 21 replicates split 11 + 10 over two workers
+    for workers in (1, 2):
+        res = run_experiment(tiny_config(replications=21, workers=workers))
+        write_tables(res, tmp_path / str(workers))
+    for name in ("table_total.csv", "table_df.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("reps, workers, sizes", [
+    (24, 2, [12, 12]),
+    (21, 2, [11, 10]),
+    (20, 3, [7, 7, 6]),
+    (200, 2, [64, 64, 64, 8]),
+])
+def test_chunks_are_balanced_over_workers(monkeypatch, reps, workers, sizes):
+    seen = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunk_args):
+            seen.append([len(args[-1]) for args in chunk_args])
+            return map(fn, chunk_args)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    run_experiment(tiny_config(replications=reps, workers=workers))
+    assert seen == [sizes]
 
 
 def test_kept_replicates_reproduce_aggregates():

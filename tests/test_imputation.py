@@ -17,7 +17,7 @@ from balimpute.imputation import (
     imputed_values,
 )
 from balimpute.population import load_thompson_example
-from balimpute.regression import ModelSpec, fit_model
+from balimpute.regression import fit_model
 
 
 def thompson_setup():
