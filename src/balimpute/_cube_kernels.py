@@ -64,18 +64,14 @@ def _swap_rows(col, i, j):
         col[i] = x_j
 
 
-def flight(pi, n_rows, col_ptr, row_idx, values, u, eps_int, pivot_rtol,
-           lam_guard, history=None):
+def flight(pi, n_rows, col_ptr, row_idx, values, u, eps_int, pivot_rtol, lam_guard):
     """Run the walk on ``pi`` in place; returns (status, steps).
 
     Column c of the q x M balancing matrix has the nonzeros
-    ``values[col_ptr[c]:col_ptr[c + 1]]`` in rows ``row_idx[...]``.  When
-    ``history`` is an (M + 1) x M array, row t receives pi after step t.
+    ``values[col_ptr[c]:col_ptr[c + 1]]`` in rows ``row_idx[...]``.
     """
     pi[np.abs(pi) <= eps_int] = 0.0
     pi[np.abs(pi - 1.0) <= eps_int] = 1.0
-    if history is not None:
-        history[0] = pi
     free = np.flatnonzero((pi > 0.0) & (pi < 1.0))[::-1].tolist()
     x_pi = pi.tolist()
     ptr = col_ptr.tolist()
@@ -182,9 +178,6 @@ def flight(pi, n_rows, col_ptr, row_idx, values, u, eps_int, pivot_rtol,
                     fixed = j
 
         t += 1
-        if history is not None:
-            history[t] = x_pi
-
         if fixed < 0:
             status = FLIGHT_STALLED
             break

@@ -199,6 +199,8 @@ def cmd_example(args) -> int:
     th = load_thompson_example()
     z = th.z1[:, None]
     fit = fit_model(z, th.y, th.z1, th.respond, th.n_population)
+    ds = impute_ebri(fit, z, th.y, th.z1, th.d, np.random.default_rng(args.seed))
+    target, achieved, rel = _balance_report(fit, ds, th.d, th.z1)
     print(f"money-guess sample: N={th.n_population}, n={th.n_sample}, "
           f"d={th.d[0]:g} for every unit")
     print(f"ratio-model fit on {int(th.respond.sum())} respondents: b = {fit.beta[0]:.2f}")
@@ -207,14 +209,8 @@ def cmd_example(args) -> int:
         ei = f"{fit.residuals[i]:7.2f}" if th.respond[i] else "      -"
         yi = f"{th.y[i]:6.2f}" if th.respond[i] else "     -"
         print(f"{i+1:>4}  {th.z1[i]:6.2f}  {yi}  {ei}")
-    nonresp = ~th.respond
-    dv = th.d[nonresp] * np.sqrt(th.z1[nonresp])
-    target = float(dv.sum() * fit.ebar_r)
     print(f"donation-weighted mean residual: {fit.ebar_r:.4f}")
     print(f"balance target sum d(1-r)sqrt(v) ebar: {target:.2f}")
-
-    rng = np.random.default_rng(args.seed)
-    ds = impute_ebri(fit, z, th.y, th.z1, th.d, rng)
     print(f"exact balanced imputation (seed {args.seed}):")
     print("unit  donors (unit:weight)      eps*     y*")
     for k in range(ds.n_imputed):
@@ -225,8 +221,6 @@ def cmd_example(args) -> int:
             if wj > 0
         ]
         print(f"{i+1:>4}  {' '.join(parts):<24} {ds.eps_star[i]:6.2f}  {ds.y_star[i]:6.2f}")
-
-    target, achieved, rel = _balance_report(fit, ds, th.d, th.z1)
     print(f"achieved balance: {achieved:.2f} (relative error {rel:.1e})")
     resp_total = float(th.d[th.respond] @ th.y[th.respond])
     print(f"respondent-only part of the total: {resp_total:.2f}")

@@ -12,7 +12,6 @@ q.  One pure-Python kernel (``_cube_kernels.flight``) walks it, reading only
 the few leading fractional columns each step needs.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +77,6 @@ class BalanceColumns:
         cols, rows = np.nonzero(a.T)
         return cls.from_entries(a.shape[0], a.shape[1], cols, rows, a[rows, cols])
 
-    def matvec(self, x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-        """A @ x."""
-        owner = np.repeat(np.arange(self.n_cols), np.diff(self.col_ptr))
-        return np.bincount(self.row_idx, weights=self.values * x[owner],
-                           minlength=self.n_rows)
-
 
 @dataclass(frozen=True)
 class BalanceProblem:
@@ -127,32 +120,24 @@ class FlightResult:
     itilde: npt.NDArray[np.float64]
     fractional: npt.NDArray[np.bool_]
     steps: int
-    history: npt.NDArray[np.float64] | None = None
 
     @property
     def n_fractional(self) -> int:
         return int(self.fractional.sum())
 
 
-def flight_phase(
-    problem: BalanceProblem,
-    rng: np.random.Generator,
-    keep_history: bool = False,
-) -> FlightResult:
+def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightResult:
     """Run the flight phase; consumes exactly n_cells uniforms from rng.
 
     The uniform draws are taken up front so the generator state after the
-    call does not depend on the number of steps.  ``keep_history`` stores
-    the (steps + 1) x M walk.
+    call does not depend on the number of steps.
     """
-    m = problem.n_cells
     pi = problem.pi0.copy()
-    u = rng.random(m)
-    history = np.empty((m + 1, m)) if keep_history else None
+    u = rng.random(problem.n_cells)
     cols = problem.columns
     status, steps = flight(
         pi, cols.n_rows, cols.col_ptr, cols.row_idx, cols.values, u,
-        INTEGER_SNAP_TOL, PIVOT_RTOL, DIRECTION_GUARD, history,
+        INTEGER_SNAP_TOL, PIVOT_RTOL, DIRECTION_GUARD,
     )
     if status == FLIGHT_DEGENERATE:
         raise FlightPhaseError(f"degenerate step length at step {steps}")
@@ -162,33 +147,4 @@ def flight_phase(
         raise FlightPhaseError("uniform budget exhausted")
     assert status == FLIGHT_OK
     frac = (pi > 0.0) & (pi < 1.0)
-    return FlightResult(
-        itilde=pi,
-        fractional=frac,
-        steps=int(steps),
-        history=history[: steps + 1].copy() if keep_history else None,
-    )
-
-
-def snap_integers(v: npt.NDArray[np.float64], tol: float = INTEGER_SNAP_TOL) -> npt.NDArray[np.float64]:
-    """Round entries lying within tol of an integer; leave the rest alone."""
-    v = np.asarray(v, dtype=np.float64)
-    r = np.round(v)
-    return np.where(np.abs(v - r) <= tol, r, v)
-
-
-def write_trace_csv(problem: BalanceProblem, result: FlightResult, path) -> None:
-    """Per-step trace (step, n_fractional, balance residual); needs history."""
-    if result.history is None:
-        raise ValueError("flight was run without keep_history")
-    cols = problem.columns
-    target = cols.matvec(problem.pi0)
-    scale = np.bincount(cols.row_idx, weights=np.abs(cols.values), minlength=cols.n_rows).max()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "n_fractional", "balance_residual", "residual_scale"])
-        for t in range(result.history.shape[0]):
-            pi_t = result.history[t]
-            n_frac = int(((pi_t > 0.0) & (pi_t < 1.0)).sum())
-            resid = float(np.abs(cols.matvec(pi_t) - target).max())
-            w.writerow([t, n_frac, repr(resid), repr(float(scale))])
+    return FlightResult(itilde=pi, fractional=frac, steps=int(steps))

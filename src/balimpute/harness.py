@@ -10,14 +10,14 @@ independent of how replicates are distributed over workers.
 
 import json
 import logging
+import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._backend import default_workers
 from .cube import FlightPhaseError
 from .estimators import fn_population, imputed_fhat, imputed_total, quantile
 from .imputation import (
@@ -40,6 +40,17 @@ MAX_ABORT_FRACTION = 0.01
 # no donors.  Any other exception is a bug and propagates.
 ABORT_ERRORS = (FlightPhaseError, SamplingError, ValueError)
 METHODS = ("dri", "rri", "ebri")
+WORKERS_ENV = "BALIMPUTE_WORKERS"
+# from_dict's conversion of the optional config fields it is given; fields
+# not listed here are taken as they are, absent ones keep their default
+_FIELD_COERCIONS = {
+    "sample_size": int,
+    "replications": int,
+    "mar_lambda1": float,
+    "methods": tuple,
+    "alphas": lambda alphas: tuple(float(a) for a in alphas),
+    "keep_replicates": bool,
+}
 
 
 @dataclass(frozen=True)
@@ -90,9 +101,20 @@ class ExperimentConfig:
             raise ValueError("at least one population recipe required")
         if not self.mechanisms:
             raise ValueError("at least one response mechanism required")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def resolved_workers(self) -> int:
-        return self.workers if self.workers is not None else default_workers()
+        """``workers`` if set, else ``BALIMPUTE_WORKERS`` if set, else 1."""
+        if self.workers is not None:
+            return self.workers
+        raw = os.environ.get(WORKERS_ENV, "").strip()
+        if not raw:
+            return 1
+        n = int(raw)
+        if n < 1:
+            raise ValueError(f"{WORKERS_ENV} must be >= 1, got {n}")
+        return n
 
     def to_dict(self) -> dict:
         return {
@@ -120,19 +142,13 @@ class ExperimentConfig:
         mechs = tuple(
             MechanismSpec(kind=m["kind"], level=m.get("level")) for m in d["mechanisms"]
         )
-        return cls(
-            seed=int(d["seed"]),
-            populations=pops,
-            mechanisms=mechs,
-            sample_size=int(d.get("sample_size", 100)),
-            replications=int(d.get("replications", 1000)),
-            design=d.get("design", "pips-rejective"),
-            mar_lambda1=float(d.get("mar_lambda1", 0.1)),
-            methods=tuple(d.get("methods", list(METHODS))),
-            alphas=tuple(float(a) for a in d.get("alphas", (0.25, 0.5))),
-            workers=d.get("workers"),
-            keep_replicates=bool(d.get("keep_replicates", False)),
-        )
+        required = ("seed", "populations", "mechanisms")
+        optional = {
+            f.name: _FIELD_COERCIONS.get(f.name, lambda x: x)(d[f.name])
+            for f in fields(cls)
+            if f.name in d and f.name not in required
+        }
+        return cls(seed=int(d["seed"]), populations=pops, mechanisms=mechs, **optional)
 
 
 @dataclass
@@ -259,7 +275,7 @@ def run_experiment(config: ExperimentConfig) -> MonteCarloResult:
 
             reps = list(range(config.replications))
             chunk_args = []
-            chunk = min(64, -(-len(reps) // max(workers, 1)))  # ceiling division
+            chunk = min(64, -(-len(reps) // workers))  # ceiling division
             for start in range(0, len(reps), chunk):
                 chunk_args.append((pop.z1, pop.y, pop.v, pi, pop.size,
                                    config.design, n, mechanism, config.methods,

@@ -122,6 +122,16 @@ def calibrate_mar(
 # cell population and imputed datasets
 
 
+def _donor_split(respond: npt.NDArray[np.bool_]):
+    """Sample positions of the nonrespondents (rows) and of the donors
+    (columns); raises ValueError when there is no donor."""
+    rows = np.flatnonzero(~respond).astype(np.int64)
+    cols = np.flatnonzero(respond).astype(np.int64)
+    if cols.size == 0:
+        raise ValueError("no donors: every unit is a nonrespondent")
+    return rows, cols
+
+
 @dataclass(frozen=True)
 class CellPopulation:
     """Nonrespondent x donor grid behind the balanced selection.
@@ -172,11 +182,7 @@ def build_cells(
     v: npt.NDArray[np.float64],
     with_purity_vars: bool = True,
 ) -> CellPopulation:
-    respond = model.respond
-    rows = np.flatnonzero(~respond).astype(np.int64)
-    cols = np.flatnonzero(respond).astype(np.int64)
-    if cols.size == 0:
-        raise ValueError("no donors: every unit is a nonrespondent")
+    rows, cols = _donor_split(model.respond)
     omega_tilde = model.omega_tilde[cols]
     psi = np.tile(omega_tilde, (rows.size, 1))
     return CellPopulation(
@@ -214,22 +220,13 @@ class ImputedDataset:
         return self.row_units.shape[0]
 
 
-def imputed_values(dataset: ImputedDataset) -> npt.NDArray[np.float64]:
-    """Final response vector: observed where observed, imputed elsewhere."""
-    return dataset.y_star.copy()
-
-
 def _base_arrays(model, z, y, v):
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
         z = z[:, None]
     y = np.asarray(y, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    respond = model.respond
-    rows = np.flatnonzero(~respond).astype(np.int64)
-    cols = np.flatnonzero(respond).astype(np.int64)
-    if cols.size == 0:
-        raise ValueError("no donors: every unit is a nonrespondent")
+    rows, cols = _donor_split(model.respond)
     y_star = y.copy()
     mu = z @ model.beta
     return z, y_star, v, rows, cols, mu

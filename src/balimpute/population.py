@@ -105,17 +105,14 @@ class PopulationRecipe:
     @classmethod
     def from_json(cls, text: str) -> "PopulationRecipe":
         d = json.loads(text)
-        beta = d.get("beta", [1.0])
-        if isinstance(beta, (int, float)):
-            beta = [beta]
-        return cls(
-            n_units=int(d["n_units"]),
-            beta=tuple(float(b) for b in beta),
-            gamma_shape=float(d.get("gamma_shape", 2.0)),
-            gamma_scale=float(d.get("gamma_scale", 5.0)),
-            sigma2=d.get("sigma2"),
-            target_r2=d.get("target_r2"),
-        )
+        optional = {k: d[k] for k in ("sigma2", "target_r2") if k in d}
+        optional.update((k, float(d[k])) for k in ("gamma_shape", "gamma_scale") if k in d)
+        if "beta" in d:
+            beta = d["beta"]
+            if isinstance(beta, (int, float)):
+                beta = [beta]
+            optional["beta"] = tuple(float(b) for b in beta)
+        return cls(n_units=int(d["n_units"]), **optional)
 
 
 def generate_population(recipe: PopulationRecipe, rng: np.random.Generator) -> Population:

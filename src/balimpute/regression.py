@@ -63,8 +63,9 @@ class FittedModel:
         }
 
 
-def regularize(g: npt.NDArray[np.float64], a: float) -> npt.NDArray[np.float64]:
-    """Clip the eigenvalues of a symmetric PSD matrix from below at a > 0."""
+def _clip_eigenvalues(g: npt.NDArray[np.float64], a: float):
+    """Eigen-decomposition of a symmetric PSD matrix with its eigenvalues
+    clipped from below at a > 0: (eigenvalues, eigenvectors, clipped)."""
     if a <= 0:
         raise ValueError("eigenvalue floor a must be positive")
     dec = eig_sym(g)
@@ -72,7 +73,12 @@ def regularize(g: npt.NDArray[np.float64], a: float) -> npt.NDArray[np.float64]:
     if vals.size and vals.min() < PSD_TOL:
         raise ValueError(f"matrix has eigenvalue {vals.min()}, below the PSD tolerance")
     clipped = np.maximum(np.where(vals < 0.0, 0.0, vals), a)
-    u = dec.eigenvectors
+    return vals, dec.eigenvectors, clipped
+
+
+def regularize(g: npt.NDArray[np.float64], a: float) -> npt.NDArray[np.float64]:
+    """Clip the eigenvalues of a symmetric PSD matrix from below at a > 0."""
+    _, u, clipped = _clip_eigenvalues(g, a)
     return (u * clipped) @ u.T
 
 
@@ -128,15 +134,7 @@ def fit_model(
     rhs = (zr.T * wr) @ y[resp] / n_population
 
     a = spec.a if spec.a is not None else default_floor(g_r)
-    if a <= 0:
-        raise ValueError("eigenvalue floor a must be positive")
-
-    dec = eig_sym(g_r)
-    vals = dec.eigenvalues
-    if vals.min() < PSD_TOL:
-        raise ValueError("respondent moment matrix is not PSD within tolerance")
-    clipped = np.maximum(np.where(vals < 0.0, 0.0, vals), a)
-    u = dec.eigenvectors
+    vals, u, clipped = _clip_eigenvalues(g_r, a)
     g_ar = (u * clipped) @ u.T
     beta = u @ ((u.T @ rhs) / clipped)
 

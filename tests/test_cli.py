@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import balimpute
 from balimpute.cli import main
 from balimpute.population import load_thompson_example
 from balimpute.sampling import SampleData, sample_to_csv
@@ -134,6 +137,20 @@ def test_simulate_dry_run_touches_nothing(tmp_path, capsys):
     assert resolved["replications"] == 2
 
 
+def test_simulate_rejects_nonpositive_workers(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "seed": 5,
+        "populations": [{"n_units": 200, "beta": [1.0], "target_r2": 0.36}],
+        "mechanisms": [{"kind": "mcar", "level": 0.5}],
+    }))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg), "--out",
+                         str(tmp_path / "res"), "--workers", "0", "--dry-run")
+    assert code == 2
+    assert out == ""
+    assert "workers" in err
+
+
 def test_simulate_tiny_run_writes_tables(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -162,6 +179,16 @@ def test_seed_override_beats_config(tmp_path, capsys):
                        "--out", str(tmp_path / "r"), "--seed", "99", "--dry-run")
     assert code == 0
     assert json.loads(out)["seed"] == 99
+
+
+def test_readme_python_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("From Python:")[1].split("```python\n")[1].split("```")[0]
+    imported = re.search(r"^from balimpute import (.+)$", block, re.M).group(1).split(", ")
+    assert set(imported) <= set(balimpute.__all__)
+    exec(compile(block, "README.md", "exec"), {})
+    # the README block is the example's imputation at its default seed
+    assert f"{float(capsys.readouterr().out):.2f}" == "218.33"
 
 
 def test_unknown_flag_rejected(tmp_path, capsys):

@@ -1,11 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
+from flight_oracle import _flight_numpy
 
 from balimpute.cube import (
+    DIRECTION_GUARD,
+    INTEGER_SNAP_TOL,
+    PIVOT_RTOL,
     BalanceProblem,
     flight_phase,
-    snap_integers,
-    write_trace_csv,
 )
 
 
@@ -15,6 +19,20 @@ def random_problem(rng, m=None, q=None):
     a = rng.standard_normal((q, m))
     pi0 = rng.uniform(0.05, 0.95, size=m)
     return BalanceProblem(pi0=pi0, a_matrix=a)
+
+
+def walk_states(problem, rng):
+    """Run the package flight on rng and return it with the per-step states
+    of the dense reference kernel on the same uniforms, which must end where
+    the package walk ends."""
+    u = copy.deepcopy(rng).random(problem.n_cells)
+    res = flight_phase(problem, rng)
+    history = np.empty((problem.n_cells + 1, problem.n_cells))
+    _, steps = _flight_numpy(problem.pi0.copy(), problem.a_matrix, u, INTEGER_SNAP_TOL,
+                             PIVOT_RTOL, DIRECTION_GUARD, True, history)
+    assert steps == res.steps
+    assert np.array_equal(history[steps], res.itilde)
+    return res, history[: steps + 1]
 
 
 def test_two_point_selection():
@@ -49,20 +67,19 @@ def test_balance_preserved_along_walk():
     for seed in range(25):
         rng = np.random.default_rng(400 + seed)
         problem = random_problem(rng)
-        res = flight_phase(problem, rng, keep_history=True)
+        _, history = walk_states(problem, rng)
         target = problem.a_matrix @ problem.pi0
         scale = max(1.0, np.max(np.abs(problem.a_matrix)))
-        for state in res.history:
+        for state in history:
             assert np.max(np.abs(problem.a_matrix @ state - target)) < 1e-9 * scale
-        assert np.array_equal(res.history[res.steps], res.itilde)
 
 
 def test_steps_move_in_kernel():
     rng = np.random.default_rng(31)
     problem = random_problem(rng, m=8, q=3)
-    res = flight_phase(problem, rng, keep_history=True)
+    res, history = walk_states(problem, rng)
     for t in range(res.steps):
-        d = res.history[t + 1] - res.history[t]
+        d = history[t + 1] - history[t]
         assert np.max(np.abs(problem.a_matrix @ d)) < 1e-9
 
 
@@ -101,12 +118,6 @@ def test_integer_start_is_fixed_point():
     assert res.steps == 0
 
 
-def test_snap_integers():
-    v = np.array([1.0 - 1e-12, 1e-12, 0.5, 0.3])
-    snapped = snap_integers(v)
-    assert np.array_equal(snapped, np.array([1.0, 0.0, 0.5, 0.3]))
-
-
 def test_rng_consumption_is_step_independent():
     # exactly n_cells uniforms are consumed whatever trajectory is taken
     problem = BalanceProblem(pi0=np.full(5, 0.4), a_matrix=np.ones((1, 5)))
@@ -124,17 +135,3 @@ def test_problem_validation():
         BalanceProblem(pi0=np.array([0.5, 0.5]), a_matrix=np.ones((1, 3)))
     with pytest.raises(ValueError):
         BalanceProblem(pi0=np.array([0.5]), a_matrix=np.array([[np.inf]]))
-
-
-def test_write_trace_csv(tmp_path):
-    rng = np.random.default_rng(12)
-    problem = random_problem(rng, m=7, q=2)
-    res = flight_phase(problem, rng, keep_history=True)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(problem, res, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[0] == "step"
-    assert len(lines) == res.steps + 2
-    # residual column stays near zero along the whole walk
-    for line in lines[1:]:
-        assert float(line.split(",")[2]) < 1e-8

@@ -63,6 +63,23 @@ def test_config_roundtrip_and_validation():
         tiny_config(methods=("dri", "bootstrap"))
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_nonpositive_workers_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        tiny_config(workers=workers)
+
+
+def test_workers_default_from_environment(monkeypatch):
+    monkeypatch.delenv("BALIMPUTE_WORKERS", raising=False)
+    assert tiny_config().resolved_workers() == 1
+    monkeypatch.setenv("BALIMPUTE_WORKERS", "2")
+    assert tiny_config().resolved_workers() == 2
+    assert tiny_config(workers=1).resolved_workers() == 1
+    monkeypatch.setenv("BALIMPUTE_WORKERS", "0")
+    with pytest.raises(ValueError, match="BALIMPUTE_WORKERS"):
+        tiny_config().resolved_workers()
+
+
 def test_noiseless_full_response_is_exact():
     # sigma2 = 0 makes y proportional to the size variable, so the design
     # weights reproduce the total exactly in every replicate

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from balimpute.linalg import eig_sym, spectral_norm
+from balimpute.linalg import eig_sym
 
 
 def random_symmetric(rng, p):
@@ -37,13 +37,3 @@ def test_eig_rejects_bad_input():
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_spectral_norm_matches_eigenvalues():
-    for seed in range(20):
-        rng = np.random.default_rng(100 + seed)
-        a = random_symmetric(rng, int(rng.integers(1, 6)))
-        nrm = spectral_norm(a)
-        assert nrm == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(a))), rel=1e-10)
-        x = rng.standard_normal(a.shape[0])
-        assert np.linalg.norm(a @ x) <= nrm * np.linalg.norm(x) + 1e-9
