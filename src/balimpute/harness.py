@@ -29,7 +29,7 @@ from .imputation import (
     impute_rri,
 )
 from .population import PopulationRecipe, generate_population
-from .regression import fit_model
+from .regression import NoRespondentsError, fit_model
 from .sampling import SamplingError, pips_probabilities, rejective_sample, srswor
 
 log = logging.getLogger(__name__)
@@ -37,8 +37,8 @@ log = logging.getLogger(__name__)
 MAX_ABORT_FRACTION = 0.01
 # Numerical failures a replicate may end in: the flight phase stops, the
 # rejective sampler does not reach the target size, or the drawn sample has
-# no donors.  Any other exception is a bug and propagates.
-ABORT_ERRORS = (FlightPhaseError, SamplingError, ValueError)
+# no respondents.  Any other exception is a bug and propagates.
+ABORT_ERRORS = (FlightPhaseError, SamplingError, NoRespondentsError)
 METHODS = ("dri", "rri", "ebri")
 WORKERS_ENV = "BALIMPUTE_WORKERS"
 # from_dict's conversion of the optional config fields it is given; fields

@@ -26,7 +26,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .cube import BalanceColumns, BalanceProblem, FlightResult, flight_phase
-from .regression import FittedModel
+from .regression import FittedModel, NoRespondentsError
 
 MAR_CALIBRATION_TOL = 1e-6
 
@@ -124,11 +124,11 @@ def calibrate_mar(
 
 def _donor_split(respond: npt.NDArray[np.bool_]):
     """Sample positions of the nonrespondents (rows) and of the donors
-    (columns); raises ValueError when there is no donor."""
+    (columns); raises NoRespondentsError when there is no donor."""
     rows = np.flatnonzero(~respond).astype(np.int64)
     cols = np.flatnonzero(respond).astype(np.int64)
     if cols.size == 0:
-        raise ValueError("no donors: every unit is a nonrespondent")
+        raise NoRespondentsError("no donors: every unit is a nonrespondent")
     return rows, cols
 
 

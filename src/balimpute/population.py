@@ -22,33 +22,28 @@ import numpy.typing as npt
 
 @dataclass(frozen=True)
 class Population:
-    """Complete finite population: response y, auxiliaries z, variance scale v.
-
-    ``z`` is (N, K); ``z1`` is the size variable used for unequal-probability
-    sampling and response modeling (first auxiliary in the synthetic recipe).
+    """Complete finite population: response y, size variable z1, variance
+    scale v.  ``z1`` is the one auxiliary: the regressor of the imputation
+    model and the size of unequal-probability sampling and response
+    modeling.
     """
 
     y: npt.NDArray[np.float64]
-    z: npt.NDArray[np.float64]
     v: npt.NDArray[np.float64]
     z1: npt.NDArray[np.float64]
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=np.float64)
-        z = np.asarray(self.z, dtype=np.float64)
         v = np.asarray(self.v, dtype=np.float64)
         z1 = np.asarray(self.z1, dtype=np.float64)
-        if z.ndim != 2:
-            raise ValueError("z must be (N, K)")
         n = y.shape[0]
-        if z.shape[0] != n or v.shape[0] != n or z1.shape[0] != n:
-            raise ValueError("y, z, v, z1 must have matching first dimension")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
+        if v.shape[0] != n or z1.shape[0] != n:
+            raise ValueError("y, v, z1 must have matching first dimension")
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z1)) and np.all(np.isfinite(v))):
             raise ValueError("population values must be finite")
         if np.any(v <= 0):
             raise ValueError("variance scale v must be strictly positive")
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "z1", z1)
 
@@ -116,7 +111,7 @@ class PopulationRecipe:
 
 
 def generate_population(recipe: PopulationRecipe, rng: np.random.Generator) -> Population:
-    """Draw a population from the recipe.  z = z1 as single column, v = z1."""
+    """Draw a population from the recipe, with v = z1."""
     z1 = rng.gamma(recipe.gamma_shape, recipe.gamma_scale, size=recipe.n_units)
     # gamma variates are almost surely positive; guard the measure-zero edge
     z1 = np.maximum(z1, np.finfo(np.float64).tiny)
@@ -124,7 +119,7 @@ def generate_population(recipe: PopulationRecipe, rng: np.random.Generator) -> P
     eps = rng.normal(0.0, np.sqrt(sigma2), size=recipe.n_units) if sigma2 > 0 else np.zeros(recipe.n_units)
     b1 = recipe.beta[0]
     y = b1 * z1 + np.sqrt(z1) * eps
-    return Population(y=y, z=z1[:, None], v=z1, z1=z1)
+    return Population(y=y, v=z1, z1=z1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +198,5 @@ def population_from_csv(path) -> tuple[Population, npt.NDArray[np.bool_]]:
                 miss.append(bool(int(row["missing"])))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad population row at line {lineno}: {exc}") from exc
-    z1 = np.array(z1s)
-    pop = Population(y=np.array(ys), z=z1[:, None], v=np.array(vs), z1=z1)
+    pop = Population(y=np.array(ys), v=np.array(vs), z1=np.array(z1s))
     return pop, np.array(miss, dtype=bool)

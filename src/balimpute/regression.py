@@ -36,6 +36,10 @@ class ModelSpec:
     omega: npt.NDArray[np.float64] | None = None
 
 
+class NoRespondentsError(ValueError):
+    """The drawn sample has no respondent to fit on or to donate from."""
+
+
 @dataclass(frozen=True)
 class FittedModel:
     beta: npt.NDArray[np.float64]
@@ -114,7 +118,7 @@ def fit_model(
         raise ValueError("variance scale v must be strictly positive")
     resp = np.flatnonzero(respond)
     if resp.size == 0:
-        raise ValueError("cannot fit a model with zero respondents")
+        raise NoRespondentsError("cannot fit a model with zero respondents")
     if not np.all(np.isfinite(y[resp])):
         raise ValueError("respondent y values must be finite")
 

@@ -1,24 +1,23 @@
-"""Reference implementations the flight kernel is checked against.
+"""Reference implementations the flight phase is checked against.
 
 ``_flight_numpy`` is the dense-matrix flight kernel the package shipped
-before the compressed-column kernel: it copies the q + 1 window of the dense
-balancing matrix and runs a batch Gauss-Jordan elimination on it every step.
-``kernel_basis`` is the full restricted null-space basis by the same
-elimination.  Both are kept verbatim as oracles: the compressed-column kernel
-must reproduce ``_flight_numpy`` bit for bit, and the window argument it
-relies on is checked against ``kernel_basis``.  ``dense`` expands a
-compressed-column matrix for them.
+before the compressed-column walk of ``balimpute.cube.flight_phase``: it
+copies the q + 1 window of the dense balancing matrix and runs a batch
+Gauss-Jordan elimination on it every step, and reports how it ended by one
+of the status codes below.  ``kernel_basis`` is the full restricted
+null-space basis by the same elimination.  Both are kept verbatim as
+oracles: ``flight_phase`` must reproduce ``_flight_numpy`` bit for bit, and
+the window argument it relies on is checked against ``kernel_basis``.
+``dense`` expands a compressed-column matrix for them.
 """
 
 import numpy as np
 import numpy.typing as npt
 
-from balimpute._cube_kernels import (
-    FLIGHT_DEGENERATE,
-    FLIGHT_NO_RANDOMNESS,
-    FLIGHT_OK,
-    FLIGHT_STALLED,
-)
+FLIGHT_OK = 0
+FLIGHT_DEGENERATE = 1
+FLIGHT_STALLED = 2
+FLIGHT_NO_RANDOMNESS = 3
 
 PIVOT_RTOL = 1e-10
 

@@ -2,13 +2,15 @@ import copy
 
 import numpy as np
 import pytest
-from flight_oracle import _flight_numpy
+from flight_oracle import _flight_numpy, dense
 
+from balimpute import cube
 from balimpute.cube import (
     DIRECTION_GUARD,
     INTEGER_SNAP_TOL,
     PIVOT_RTOL,
     BalanceProblem,
+    FlightPhaseError,
     flight_phase,
 )
 
@@ -28,7 +30,7 @@ def walk_states(problem, rng):
     u = copy.deepcopy(rng).random(problem.n_cells)
     res = flight_phase(problem, rng)
     history = np.empty((problem.n_cells + 1, problem.n_cells))
-    _, steps = _flight_numpy(problem.pi0.copy(), problem.a_matrix, u, INTEGER_SNAP_TOL,
+    _, steps = _flight_numpy(problem.pi0.copy(), dense(problem.columns), u, INTEGER_SNAP_TOL,
                              PIVOT_RTOL, DIRECTION_GUARD, True, history)
     assert steps == res.steps
     assert np.array_equal(history[steps], res.itilde)
@@ -68,19 +70,21 @@ def test_balance_preserved_along_walk():
         rng = np.random.default_rng(400 + seed)
         problem = random_problem(rng)
         _, history = walk_states(problem, rng)
-        target = problem.a_matrix @ problem.pi0
-        scale = max(1.0, np.max(np.abs(problem.a_matrix)))
+        a = dense(problem.columns)
+        target = a @ problem.pi0
+        scale = max(1.0, np.max(np.abs(a)))
         for state in history:
-            assert np.max(np.abs(problem.a_matrix @ state - target)) < 1e-9 * scale
+            assert np.max(np.abs(a @ state - target)) < 1e-9 * scale
 
 
 def test_steps_move_in_kernel():
     rng = np.random.default_rng(31)
     problem = random_problem(rng, m=8, q=3)
     res, history = walk_states(problem, rng)
+    a = dense(problem.columns)
     for t in range(res.steps):
         d = history[t + 1] - history[t]
-        assert np.max(np.abs(problem.a_matrix @ d)) < 1e-9
+        assert np.max(np.abs(a @ d)) < 1e-9
 
 
 def test_fractional_bound_and_range():
@@ -128,6 +132,21 @@ def test_rng_consumption_is_step_independent():
     assert rng1.random() == rng2.random()
 
 
+def test_degenerate_step_raises(monkeypatch):
+    # a guard above every direction entry leaves no coordinate to step on
+    monkeypatch.setattr(cube, "DIRECTION_GUARD", 2.0)
+    problem = BalanceProblem(pi0=np.full(4, 0.5), a_matrix=np.ones((1, 4)))
+    with pytest.raises(FlightPhaseError, match="^degenerate step length at step 0$"):
+        flight_phase(problem, np.random.default_rng(0))
+
+
+def test_dense_input_is_not_kept():
+    a = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+    problem = BalanceProblem(pi0=np.full(3, 0.5), a_matrix=a)
+    assert not hasattr(problem, "a_matrix")
+    np.testing.assert_array_equal(dense(problem.columns), a)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         BalanceProblem(pi0=np.array([0.5, 1.5]), a_matrix=np.ones((1, 2)))
@@ -135,3 +154,5 @@ def test_problem_validation():
         BalanceProblem(pi0=np.array([0.5, 0.5]), a_matrix=np.ones((1, 3)))
     with pytest.raises(ValueError):
         BalanceProblem(pi0=np.array([0.5]), a_matrix=np.array([[np.inf]]))
+    with pytest.raises(ValueError, match="exactly one"):
+        BalanceProblem(pi0=np.array([0.5]))

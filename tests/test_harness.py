@@ -221,6 +221,43 @@ def test_bug_in_a_replicate_propagates(monkeypatch):
         run_experiment(tiny_config(replications=400, workers=1))
 
 
+def test_value_error_in_a_replicate_propagates(monkeypatch):
+    # a shape or argument bug raises ValueError too; even once in 400
+    # replicates, where an abort would be within the allowed share, it is
+    # not counted as one
+    import balimpute.harness as H
+
+    calls = {"n": 0}
+    real = H.impute_ebri
+
+    def buggy_once(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise ValueError("operands could not be broadcast together")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(H, "impute_ebri", buggy_once)
+    with pytest.raises(ValueError, match="broadcast"):
+        run_experiment(tiny_config(replications=400, workers=1))
+
+
+def test_zero_respondent_replicate_is_counted(monkeypatch):
+    import balimpute.harness as H
+
+    calls = {"n": 0}
+    real = H.generate_response
+
+    def nobody_once(z1, mechanism, rng):
+        calls["n"] += 1
+        if calls["n"] == 5:
+            return np.zeros(z1.shape[0], dtype=bool)
+        return real(z1, mechanism, rng)
+
+    monkeypatch.setattr(H, "generate_response", nobody_once)
+    cell = run_experiment(tiny_config(replications=400, workers=1)).cells[0]
+    assert (cell.n_aborted, cell.n_ok) == (1, 399)
+
+
 def test_write_tables_layout(tmp_path):
     cfg = tiny_config(
         populations=(

@@ -97,7 +97,7 @@ def test_build_cells_thompson_grid():
     assert np.all(cells.psi == pytest.approx(1 / 6, rel=1e-12))
     problem = cells.balance_problem()
     assert problem.n_constraints == 5
-    assert problem.a_matrix is None
+    assert not hasattr(problem, "a_matrix")
     a = dense(problem.columns)
     expected_row0 = np.outer(th.d[6:] * np.sqrt(th.z1[6:]), fit.residuals[:6]).ravel()
     np.testing.assert_array_equal(a[0], expected_row0)

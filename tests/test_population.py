@@ -49,7 +49,6 @@ def test_generate_moments_and_r2():
     assert abs(pop.z1.mean() - 10.0) < 5 * se_mean
     assert np.corrcoef(pop.z1, pop.y)[0, 1] ** 2 == pytest.approx(0.36, abs=0.03)
     assert np.array_equal(pop.v, pop.z1)
-    assert pop.z.shape == (pop.size, 1)
 
 
 def test_generate_deterministic():
@@ -67,11 +66,11 @@ def test_zero_noise_reproduces_signal():
 
 def test_population_validation():
     with pytest.raises(ValueError):
-        Population(y=np.ones(3), z=np.ones((3, 1)), v=np.array([1.0, 0.0, 1.0]),
-                   z1=np.ones(3))
+        Population(y=np.ones(3), v=np.array([1.0, 0.0, 1.0]), z1=np.ones(3))
     with pytest.raises(ValueError):
-        Population(y=np.array([1.0, np.inf]), z=np.ones((2, 1)), v=np.ones(2),
-                   z1=np.ones(2))
+        Population(y=np.array([1.0, np.inf]), v=np.ones(2), z1=np.ones(2))
+    with pytest.raises(ValueError, match="finite"):
+        Population(y=np.ones(2), v=np.ones(2), z1=np.array([1.0, np.nan]))
 
 
 def test_thompson_example_values():
