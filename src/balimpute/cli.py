@@ -25,7 +25,7 @@ from .population import (
     population_from_csv,
     population_to_csv,
 )
-from .regression import ModelSpec, fit_model
+from .regression import ModelSpec, NoRespondentsError, fit_model
 from .sampling import (
     pips_probabilities,
     rejective_sample,
@@ -111,12 +111,17 @@ def _write_imputed_csv(path, sample, dataset, z1, v):
 def cmd_impute(args) -> int:
     if args.method in ("rri", "ebri") and args.seed is None:
         raise InputError(f"--seed is required for the stochastic method {args.method!r}")
+    if args.a is not None and not (np.isfinite(args.a) and args.a > 0):
+        raise InputError(f"--a must be positive and finite, got {args.a}")
     try:
         sample, y, z1, v = sample_from_csv(args.input)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read sample: {exc}") from exc
     spec = ModelSpec(a=args.a)
-    fit = fit_model(z1[:, None], y, v, sample.respond, round(nhat(sample.d)), spec=spec)
+    try:
+        fit = fit_model(z1[:, None], y, v, sample.respond, round(nhat(sample.d)), spec=spec)
+    except NoRespondentsError as exc:
+        raise InputError(f"cannot impute {args.input}: {exc}") from exc
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     if args.method == "dri":
         ds = impute_dri(fit, z1[:, None], y, v)

@@ -69,6 +69,8 @@ class MechanismSpec:
                 raise ValueError("full response takes no level")
         elif self.level is None:
             raise ValueError(f"{self.kind} needs a level")
+        elif not 0.0 < self.level < 1.0:
+            raise ValueError(f"{self.kind} level must lie strictly inside (0, 1), got {self.level}")
 
     @property
     def label(self) -> str:
@@ -90,6 +92,8 @@ class ExperimentConfig:
     keep_replicates: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.design not in ("pips-rejective", "srswor"):
@@ -103,6 +107,15 @@ class ExperimentConfig:
             raise ValueError("at least one response mechanism required")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not np.isfinite(self.mar_lambda1):
+            raise ValueError(f"mar_lambda1 must be finite, got {self.mar_lambda1}")
+        for alpha in self.alphas:
+            if not 0.0 < alpha <= 1.0:
+                raise ValueError(f"alphas must lie in (0, 1], got {alpha}")
+        for recipe in self.populations:
+            if not 1 <= self.sample_size <= recipe.n_units:
+                raise ValueError(f"sample_size must lie in [1, n_units = {recipe.n_units}], "
+                                 f"got {self.sample_size}")
 
     def resolved_workers(self) -> int:
         """``workers`` if set, else ``BALIMPUTE_WORKERS`` if set, else 1."""

@@ -119,7 +119,7 @@ def calibrate_mar(
 
 
 # ---------------------------------------------------------------------------
-# cell population and imputed datasets
+# cell grid and imputed datasets
 
 
 def _donor_split(respond: npt.NDArray[np.bool_]):
@@ -132,67 +132,36 @@ def _donor_split(respond: npt.NDArray[np.bool_]):
     return rows, cols
 
 
-@dataclass(frozen=True)
-class CellPopulation:
-    """Nonrespondent x donor grid behind the balanced selection.
-
-    ``psi[k, l]`` is the selection probability of cell (k, l); every row
-    repeats the normalized donation weights.  The balancing matrix applies
-    to the cells in row-major order and already carries the division of the
-    balancing variables by psi, so it is built directly from the quotients:
-    row 0 holds d_k v_k^{1/2} e_l, and with purity variables on, row 1 + k
-    is the indicator of nonrespondent row k.  It is built by column, two
-    nonzeros per cell, never as a dense (1 + n_m) x (n_m n_r) array.
-    """
-
-    row_units: npt.NDArray[np.int64]
-    col_units: npt.NDArray[np.int64]
-    psi: npt.NDArray[np.float64]
-    residuals: npt.NDArray[np.float64]
-    dv: npt.NDArray[np.float64]
-    with_purity_vars: bool
-
-    @property
-    def n_rows(self) -> int:
-        return self.row_units.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.col_units.shape[0]
-
-    def balance_problem(self) -> BalanceProblem:
-        n_m, n_r = self.psi.shape
-        m = n_m * n_r
-        q = 1 + n_m if self.with_purity_vars else 1
-        per = 2 if self.with_purity_vars else 1  # nonzeros per column
-        cells = np.repeat(np.arange(m), per)
-        rows = np.zeros(per * m, dtype=np.int64)
-        vals = np.ones(per * m)
-        vals[0::per] = np.outer(self.dv, self.residuals).ravel()
-        if self.with_purity_vars:
-            # column k * n_r + l: row 0 holds its balance entry, row 1 + k a 1
-            rows[1::2] = np.repeat(np.arange(1, n_m + 1), n_r)
-        columns = BalanceColumns.from_entries(q, m, cells, rows, vals)
-        return BalanceProblem(pi0=self.psi.ravel().copy(), columns=columns)
-
-
 def build_cells(
-    model: FittedModel,
-    d: npt.NDArray[np.float64],
-    v: npt.NDArray[np.float64],
+    psi_row: npt.NDArray[np.float64],
+    residuals: npt.NDArray[np.float64],
+    dv: npt.NDArray[np.float64],
     with_purity_vars: bool = True,
-) -> CellPopulation:
-    rows, cols = _donor_split(model.respond)
-    omega_tilde = model.omega_tilde[cols]
-    psi = np.tile(omega_tilde, (rows.size, 1))
-    return CellPopulation(
-        row_units=rows,
-        col_units=cols,
-        psi=psi,
-        residuals=model.residuals[cols].copy(),
-        dv=d[rows] * np.sqrt(v[rows]),
-        with_purity_vars=with_purity_vars,
-    )
+) -> BalanceProblem:
+    """Balancing problem of the nonrespondent x donor grid behind the
+    balanced selection.
+
+    Cell (k, l), in row-major order, starts at the donation weight
+    ``psi_row[l]`` of donor l, the same in every nonrespondent row k.  The
+    balancing matrix already carries the division of the balancing
+    variables by psi, so it is built directly from the quotients: row 0
+    holds dv_k e_l (dv_k = d_k v_k^{1/2}), and with purity variables on, row
+    1 + k is the indicator of nonrespondent row k.  It is built by column,
+    two nonzeros per cell, never as a dense (1 + n_m) x (n_m n_r) array.
+    """
+    n_m, n_r = dv.shape[0], residuals.shape[0]
+    m = n_m * n_r
+    q = 1 + n_m if with_purity_vars else 1
+    per = 2 if with_purity_vars else 1  # nonzeros per column
+    cells = np.repeat(np.arange(m), per)
+    rows = np.zeros(per * m, dtype=np.int64)
+    vals = np.ones(per * m)
+    vals[0::per] = np.outer(dv, residuals).ravel()
+    if with_purity_vars:
+        # column k * n_r + l: row 0 holds its balance entry, row 1 + k a 1
+        rows[1::2] = np.repeat(np.arange(1, n_m + 1), n_r)
+    columns = BalanceColumns.from_entries(q, m, cells, rows, vals)
+    return BalanceProblem(pi0=np.tile(psi_row, n_m), columns=columns)
 
 
 @dataclass(frozen=True)
@@ -220,54 +189,38 @@ class ImputedDataset:
         return self.row_units.shape[0]
 
 
-def _base_arrays(model, z, y, v):
+def _imputed(method, model, z, y, v, rows, cols, eps_rows, **grid) -> ImputedDataset:
+    """The dataset with y* = z'beta + sqrt(v) eps* at the nonrespondent
+    ``rows``; ``grid`` holds the method's donor_weights, pure and flight."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
         z = z[:, None]
-    y = np.asarray(y, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    rows, cols = _donor_split(model.respond)
-    y_star = y.copy()
-    mu = z @ model.beta
-    return z, y_star, v, rows, cols, mu
-
-
-def _finish(method, model, y_star, v, rows, cols, mu, eps_rows, weights, pure, flight):
+    mu = z @ model.beta  # over all rows: z[rows] @ beta may round differently
+    y_star = np.array(y, dtype=np.float64)
     eps_star = np.zeros(y_star.shape[0])
-    if rows.size:
-        eps_star[rows] = eps_rows
-        y_star[rows] = mu[rows] + np.sqrt(v[rows]) * eps_rows
-    return ImputedDataset(
-        method=method,
-        y_star=y_star,
-        eps_star=eps_star,
-        respond=model.respond,
-        row_units=rows,
-        col_units=cols,
-        donor_weights=weights,
-        pure=pure,
-        flight=flight,
-    )
+    eps_star[rows] = eps_rows
+    y_star[rows] = mu[rows] + np.sqrt(v[rows]) * eps_rows
+    return ImputedDataset(method=method, y_star=y_star, eps_star=eps_star,
+                          respond=model.respond, row_units=rows, col_units=cols, **grid)
 
 
 def impute_dri(model: FittedModel, z, y, v) -> ImputedDataset:
     """Deterministic regression imputation: eps* = 0, y* = z'beta."""
-    z, y_star, v, rows, cols, mu = _base_arrays(model, z, y, v)
-    return _finish("dri", model, y_star, v, rows, cols, mu,
-                   np.zeros(rows.size), None, None, None)
+    rows, cols = _donor_split(model.respond)
+    return _imputed("dri", model, z, y, v, rows, cols, np.zeros(rows.size))
 
 
 def impute_rri(model: FittedModel, z, y, v, rng: np.random.Generator) -> ImputedDataset:
     """Random regression imputation: iid donor residuals, weights omega-tilde."""
-    z, y_star, v, rows, cols, mu = _base_arrays(model, z, y, v)
-    omega_tilde = model.omega_tilde[cols]
+    rows, cols = _donor_split(model.respond)
     n_m, n_r = rows.size, cols.size
-    picks = rng.choice(n_r, size=n_m, p=omega_tilde) if n_m else np.empty(0, dtype=np.int64)
+    picks = (rng.choice(n_r, size=n_m, p=model.omega_tilde[cols]) if n_m
+             else np.empty(0, dtype=np.int64))
     weights = np.zeros((n_m, n_r))
     weights[np.arange(n_m), picks] = 1.0
-    pure = np.ones(n_m, dtype=bool)
-    return _finish("rri", model, y_star, v, rows, cols, mu,
-                   model.residuals[cols][picks], weights, pure, None)
+    return _imputed("rri", model, z, y, v, rows, cols, model.residuals[cols][picks],
+                    donor_weights=weights, pure=np.ones(n_m, dtype=bool))
 
 
 def impute_ebri(
@@ -280,16 +233,16 @@ def impute_ebri(
     with_purity_vars: bool = True,
 ) -> ImputedDataset:
     """Exact balanced random imputation via one flight phase over the cells."""
-    z, y_star, v, rows, cols, mu = _base_arrays(model, z, y, v)
-    d = np.asarray(d, dtype=np.float64)
+    rows, cols = _donor_split(model.respond)
     if rows.size == 0:
-        return _finish("ebri", model, y_star, v, rows, cols, mu,
-                       np.zeros(0), None, None, None)
-    cells = build_cells(model, d, v, with_purity_vars=with_purity_vars)
-    flight = flight_phase(cells.balance_problem(), rng)
-    itilde = flight.itilde.reshape(cells.n_rows, cells.n_cols)
-    eps_rows = itilde @ cells.residuals
-    frac = flight.fractional.reshape(cells.n_rows, cells.n_cols)
-    pure = ~frac.any(axis=1)
-    return _finish("ebri", model, y_star, v, rows, cols, mu,
-                   eps_rows, itilde, pure, flight)
+        return _imputed("ebri", model, z, y, v, rows, cols, np.zeros(0))
+    v = np.asarray(v, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    residuals = model.residuals[cols]
+    problem = build_cells(model.omega_tilde[cols], residuals, d[rows] * np.sqrt(v[rows]),
+                          with_purity_vars=with_purity_vars)
+    flight = flight_phase(problem, rng)
+    itilde = flight.itilde.reshape(rows.size, cols.size)
+    pure = ~flight.fractional.reshape(rows.size, cols.size).any(axis=1)
+    return _imputed("ebri", model, z, y, v, rows, cols, itilde @ residuals,
+                    donor_weights=itilde, pure=pure, flight=flight)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .linalg import eig_sym
-
 PSD_TOL = -1e-10
+SYMMETRY_RTOL = 1e-12
 DEFAULT_FLOOR_FRACTION = 0.01
 
 
@@ -68,16 +67,24 @@ class FittedModel:
 
 
 def _clip_eigenvalues(g: npt.NDArray[np.float64], a: float):
-    """Eigen-decomposition of a symmetric PSD matrix with its eigenvalues
-    clipped from below at a > 0: (eigenvalues, eigenvectors, clipped)."""
-    if a <= 0:
-        raise ValueError("eigenvalue floor a must be positive")
-    dec = eig_sym(g)
-    vals = dec.eigenvalues
+    """Eigen-decomposition of a symmetric PSD matrix, eigenvalues descending,
+    with the eigenvalues clipped from below at a finite a > 0:
+    (eigenvalues, eigenvectors as matching columns, clipped)."""
+    if not (np.isfinite(a) and a > 0):
+        raise ValueError(f"eigenvalue floor a must be positive and finite, got {a!r}")
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("matrix has non-finite entries")
+    if np.abs(g - g.T).max() > SYMMETRY_RTOL * max(np.abs(g).max(), 1.0):
+        raise ValueError("matrix is not symmetric within tolerance")
+    vals, vecs = np.linalg.eigh(g)
+    vals, u = vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
     if vals.size and vals.min() < PSD_TOL:
         raise ValueError(f"matrix has eigenvalue {vals.min()}, below the PSD tolerance")
     clipped = np.maximum(np.where(vals < 0.0, 0.0, vals), a)
-    return vals, dec.eigenvectors, clipped
+    return vals, u, clipped
 
 
 def regularize(g: npt.NDArray[np.float64], a: float) -> npt.NDArray[np.float64]:

@@ -11,10 +11,11 @@ from balimpute.population import load_thompson_example
 from balimpute.sampling import SampleData, sample_to_csv
 
 
-def write_thompson_csv(path):
+def write_thompson_csv(path, respond=None):
     th = load_thompson_example()
     pi = np.full(10, 10 / 53)
-    s = SampleData(indices=np.arange(10), pi=pi, d=1.0 / pi, respond=th.respond)
+    respond = th.respond if respond is None else respond
+    s = SampleData(indices=np.arange(10), pi=pi, d=1.0 / pi, respond=respond)
     sample_to_csv(path, s, th.y, th.z1, th.z1)
 
 
@@ -99,6 +100,29 @@ def test_impute_malformed_csv_reports_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("a", ["nan", "inf", "0", "-1"])
+def test_impute_rejects_bad_floor(tmp_path, capsys, a):
+    src = tmp_path / "s.csv"
+    write_thompson_csv(src)
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "impute", "--input", str(src), "--method", "dri",
+                       f"--a={a}", "--out", str(out))
+    assert code == 2
+    assert "--a" in err
+    assert not out.exists()
+
+
+def test_impute_without_respondents_is_bad_input(tmp_path, capsys):
+    src = tmp_path / "s.csv"
+    write_thompson_csv(src, respond=np.zeros(10, dtype=bool))
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "impute", "--input", str(src), "--method", "ebri",
+                       "--seed", "1", "--out", str(out))
+    assert code == 2
+    assert "respondents" in err
+    assert not out.exists()
+
+
 def test_simulate_missing_config(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--config", str(tmp_path / "none.json"),
                        "--out", str(tmp_path / "res"))
@@ -135,6 +159,32 @@ def test_simulate_dry_run_touches_nothing(tmp_path, capsys):
     resolved = json.loads(out)
     assert resolved["seed"] == 5
     assert resolved["replications"] == 2
+
+
+@pytest.mark.parametrize("override", [
+    {"alphas": [0]},
+    {"alphas": [1.5]},
+    {"sample_size": 0},
+    {"sample_size": 201},
+    {"mechanisms": [{"kind": "mcar", "level": 1.5}]},
+    {"mechanisms": [{"kind": "mar", "level": 1.5}]},
+    {"seed": -1},
+    {"mar_lambda1": float("nan")},
+])
+def test_simulate_dry_run_rejects_configs_that_cannot_run(tmp_path, capsys, override):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "seed": 5,
+        "populations": [{"n_units": 200, "beta": [1.0], "target_r2": 0.36}],
+        "mechanisms": [{"kind": "mcar", "level": 0.5}],
+        "replications": 2, "sample_size": 10,
+        **override,
+    }))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "res"), "--dry-run")
+    assert code == 2
+    assert out == ""
+    assert "bad config" in err
 
 
 def test_simulate_rejects_nonpositive_workers(tmp_path, capsys):

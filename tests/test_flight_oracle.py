@@ -49,10 +49,11 @@ def grid_problem(n_m, n_r, seed, with_purity_vars=True, residuals=None):
     if residuals is not None:
         fit = replace(fit, residuals=residuals(fit.residuals.copy(), respond))
     d = 1.0 + rng.random(n)
-    cells = build_cells(fit, d, z1, with_purity_vars=with_purity_vars)
-    problem = cells.balance_problem()
+    dv = d[~respond] * np.sqrt(z1[~respond])
+    e = fit.residuals[respond]
+    problem = build_cells(fit.omega_tilde[respond], e, dv, with_purity_vars=with_purity_vars)
     a = np.zeros((1 + n_m if with_purity_vars else 1, n_m * n_r))
-    a[0] = np.outer(cells.dv, cells.residuals).ravel()
+    a[0] = np.outer(dv, e).ravel()
     if with_purity_vars:
         for k in range(n_m):
             a[1 + k, k * n_r:(k + 1) * n_r] = 1.0

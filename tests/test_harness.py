@@ -14,7 +14,8 @@ from balimpute.harness import (
     run_experiment,
     write_tables,
 )
-from balimpute.population import PopulationRecipe
+from balimpute.population import PopulationRecipe, generate_population
+from balimpute.sampling import srswor
 
 
 def tiny_config(**overrides):
@@ -160,6 +161,22 @@ def test_kept_replicates_reproduce_aggregates():
     est = cell.replicates[("ebri", "total")]
     assert relative_bias_percent(est, cell.theta_total) == cell.rb[("ebri", "total")]
     assert mean_squared_error(est, cell.theta_total) == cell.mse[("ebri", "total")]
+
+
+def test_srswor_design_replays_its_samples():
+    # full response: every method's total is the expansion total N/n sum(y)
+    # of the sample that srswor draws from the replicate's generator
+    cfg = tiny_config(design="srswor", mechanisms=(MechanismSpec("full"),),
+                      replications=5, keep_replicates=True)
+    cell = run_experiment(cfg).cells[0]
+    pop = generate_population(
+        cfg.populations[0], np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,))))
+    n_pop, n = pop.size, cfg.sample_size
+    for r in range(cfg.replications):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 0, r)))
+        expected = n_pop / n * pop.y[srswor(n_pop, n, rng).indices].sum()
+        for method in ("dri", "rri", "ebri"):
+            assert cell.replicates[(method, "total")][r] == pytest.approx(expected, rel=1e-12)
 
 
 def test_rri_is_efficiency_reference():

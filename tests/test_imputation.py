@@ -92,14 +92,14 @@ def test_mar_response_skews_toward_large_sizes():
 
 def test_build_cells_thompson_grid():
     th, fit = thompson_setup()
-    cells = build_cells(fit, th.d, th.z1)
-    assert cells.n_rows == 4 and cells.n_cols == 6
-    assert np.all(cells.psi == pytest.approx(1 / 6, rel=1e-12))
-    problem = cells.balance_problem()
+    dv = th.d[6:] * np.sqrt(th.z1[6:])
+    problem = build_cells(fit.omega_tilde[:6], fit.residuals[:6], dv)
+    assert problem.n_cells == 24
+    assert np.all(problem.pi0 == pytest.approx(1 / 6, rel=1e-12))
     assert problem.n_constraints == 5
     assert not hasattr(problem, "a_matrix")
     a = dense(problem.columns)
-    expected_row0 = np.outer(th.d[6:] * np.sqrt(th.z1[6:]), fit.residuals[:6]).ravel()
+    expected_row0 = np.outer(dv, fit.residuals[:6]).ravel()
     np.testing.assert_array_equal(a[0], expected_row0)
     assert a[1, :6].sum() == 6.0
     assert a[1, 6:].sum() == 0.0
@@ -118,7 +118,8 @@ def test_balance_problem_memory_is_linear_in_cells():
     d = np.full(n, 10.0)
     tracemalloc.start()
     try:
-        problem = build_cells(fit, d, z1).balance_problem()
+        problem = build_cells(fit.omega_tilde[respond], fit.residuals[respond],
+                              d[~respond] * np.sqrt(z1[~respond]))
         peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()

@@ -1,39 +1,44 @@
+"""Eigen-decomposition behind the regularized fit (regression._clip_eigenvalues).
+
+The inputs are PSD (b b'), because the PSD check runs in the same function.
+"""
+
 import numpy as np
 import pytest
 
-from balimpute.linalg import eig_sym
+from balimpute.regression import _clip_eigenvalues
+
+FLOOR = 1e-3
 
 
-def random_symmetric(rng, p):
-    m = rng.standard_normal((p, p))
-    return (m + m.T) / 2
+def random_psd(rng, p):
+    b = rng.standard_normal((p, p))
+    return b @ b.T
 
 
 def test_eig_frozen_pair():
-    dec = eig_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert dec.eigenvalues == pytest.approx([3.0, 1.0], abs=1e-12)
+    vals, u, _ = _clip_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]), FLOOR)
+    assert vals == pytest.approx([3.0, 1.0], abs=1e-12)
     # eigenvector of 3 is (1,1)/sqrt(2) up to sign
-    v = dec.eigenvectors[:, 0]
-    assert abs(v[0]) == pytest.approx(abs(v[1]), abs=1e-12)
+    assert abs(u[0, 0]) == pytest.approx(abs(u[1, 0]), abs=1e-12)
 
 
 def test_eig_reconstruction_and_orthonormality():
     for seed in range(30):
         rng = np.random.default_rng(seed)
         p = int(rng.integers(1, 7))
-        a = random_symmetric(rng, p)
-        dec = eig_sym(a)
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-12), "eigenvalues must descend"
-        recon = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
-        assert np.max(np.abs(recon - a)) < 1e-9
-        gram = dec.eigenvectors.T @ dec.eigenvectors
-        assert np.max(np.abs(gram - np.eye(p))) < 1e-10
+        g = random_psd(rng, p)
+        vals, u, clipped = _clip_eigenvalues(g, FLOOR)
+        assert np.all(np.diff(vals) <= 1e-12), "eigenvalues must descend"
+        assert np.max(np.abs((u * vals) @ u.T - g)) < 1e-9
+        assert np.max(np.abs(u.T @ u - np.eye(p))) < 1e-10
+        assert np.array_equal(clipped, np.maximum(vals, FLOOR))
 
 
 def test_eig_rejects_bad_input():
-    with pytest.raises(ValueError):
-        eig_sym(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        _clip_eigenvalues(np.ones((2, 3)), FLOOR)
+    with pytest.raises(ValueError, match="symmetric"):
+        _clip_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]), FLOOR)
+    with pytest.raises(ValueError, match="non-finite"):
+        _clip_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]), FLOOR)

@@ -30,4 +30,5 @@ def test_benchmark_setup_and_tracing_hooks(monkeypatch, capsys):
     capsys.readouterr()
     assert rc == 0
     assert errors == []
-    assert any(span[0] == "cube.flight_phase" for span in tracer.spans)
+    names = {span[0] for span in tracer.spans}
+    assert {"imputation.build_cells", "cube.flight_phase"} <= names

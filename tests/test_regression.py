@@ -4,6 +4,7 @@ import pytest
 from balimpute.population import load_thompson_example
 from balimpute.regression import (
     ModelSpec,
+    _clip_eigenvalues,
     default_floor,
     fit_model,
     regularize,
@@ -121,9 +122,10 @@ def test_fit_validation():
     with pytest.raises(ValueError):
         fit_model(z1[:, None], np.array([1.0, 2.0]), np.array([1.0, 1.0]),
                   np.array([False, False]), 10)
-    with pytest.raises(ValueError):
-        fit_model(z1[:, None], np.array([1.0, 2.0]), np.array([1.0, 1.0]),
-                  np.array([True, True]), 10, spec=ModelSpec(a=-1.0))
+    for a in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="floor"):
+            fit_model(z1[:, None], np.array([1.0, 2.0]), np.array([1.0, 1.0]),
+                      np.array([True, True]), 10, spec=ModelSpec(a=a))
 
 
 def test_report_dict_shape():
