@@ -1,12 +1,16 @@
-"""Time the flight-phase kernel on ebri cell grids of growing size.
+"""Time the flight phase on ebri cell grids of growing size.
 
 Each grid is an n x n imputation grid (n nonrespondent rows, n donor
 columns, one balance row plus n purity rows) built the way ``impute_ebri``
-builds it, through ``imputation.build_cells``.  For every grid the
+builds it, through ``imputation.build_cells``.  Every grid is walked twice:
+by the grid walk ``flight_phase`` takes on that problem, and by the general
+kernel on the same grid's balancing matrix (``CellGrid.columns``), the
+kernel dense and ``--no-purity-vars`` problems take.  For each walk the
 script reports the build time, the flight time (median and range over the
-repeats), flight steps per second, and the peak resident set size of this
-process after the grid, read with ``resource.getrusage``.  Grids run in
-ascending size, so each peak covers that grid and the smaller ones before it.
+repeats) and flight steps per second; for the grid, the peak resident set
+size of this process after both walks, read with ``resource.getrusage``.
+Grids run in ascending size, so each peak covers that grid and the smaller
+ones before it.
 
 Run from the repo root:
 
@@ -24,7 +28,7 @@ import time
 
 import numpy as np
 
-from balimpute.cube import flight_phase
+from balimpute.cube import BalanceProblem, flight_phase
 from balimpute.imputation import build_cells
 
 
@@ -34,13 +38,7 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 1e6
 
 
-def time_grid(n: int, seed: int, repeats: int) -> dict:
-    rng = np.random.default_rng(seed)
-    residuals = rng.standard_normal(n)  # drawn before dv, as for BENCH_4.json
-    dv = 1.0 + rng.random(n)
-    t0 = time.perf_counter()
-    problem = build_cells(np.full(n, 1.0 / n), residuals, dv)
-    build_s = time.perf_counter() - t0
+def time_flight(problem: BalanceProblem, seed: int, repeats: int) -> dict:
     times = []
     for _ in range(repeats):
         rng = np.random.default_rng(seed)
@@ -49,17 +47,37 @@ def time_grid(n: int, seed: int, repeats: int) -> dict:
         times.append(time.perf_counter() - t0)
     med = statistics.median(times)
     return {
-        "grid": f"{n}x{n}",
-        "cells": problem.n_cells,
-        "constraints": problem.n_constraints,
         "steps": result.steps,
-        "build_ms": round(build_s * 1e3, 2),
         "flight_ms_median": round(med * 1e3, 2),
         "flight_ms_min": round(min(times) * 1e3, 2),
         "flight_ms_max": round(max(times) * 1e3, 2),
         "steps_per_s": round(result.steps / med),
-        "peak_rss_mb": round(peak_rss_mb(), 1),
     }
+
+
+def time_grid(n: int, seed: int, repeats: int) -> dict:
+    """The grid walk's numbers at the top level, the general kernel's under
+    ``general_kernel``."""
+    rng = np.random.default_rng(seed)
+    residuals = rng.standard_normal(n)  # drawn before dv, as for BENCH_4.json
+    dv = 1.0 + rng.random(n)
+    t0 = time.perf_counter()
+    problem = build_cells(np.full(n, 1.0 / n), residuals, dv)
+    build_s = time.perf_counter() - t0
+    row = {
+        "grid": f"{n}x{n}",
+        "cells": problem.n_cells,
+        "constraints": problem.n_constraints,
+        "build_ms": round(build_s * 1e3, 2),
+        **time_flight(problem, seed, repeats),
+    }
+    t0 = time.perf_counter()
+    general = BalanceProblem(pi0=problem.pi0, columns=problem.grid.columns())
+    build_s = time.perf_counter() - t0
+    row["general_kernel"] = {"build_ms": round(build_s * 1e3, 2),
+                             **time_flight(general, seed, repeats)}
+    row["peak_rss_mb"] = round(peak_rss_mb(), 1)
+    return row
 
 
 def main() -> int:
@@ -72,7 +90,7 @@ def main() -> int:
     args = parser.parse_args()
 
     report = {
-        "benchmark": "flight_phase on n x n ebri grids",
+        "benchmark": "flight_phase on n x n ebri grids: grid walk and general kernel",
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -89,9 +107,11 @@ def main() -> int:
     for n in sorted(int(x) for x in args.grids.split(",")):
         row = time_grid(n, args.seed, args.repeats)
         report["grids"].append(row)
-        print(f"{row['grid']:>9}: {row['cells']:>7} cells  {row['steps']:>7} steps  "
-              f"flight {row['flight_ms_median']:10.1f} ms  "
-              f"{row['steps_per_s']:>8} steps/s  peak RSS {row['peak_rss_mb']:7.1f} MB")
+        for name, walk in (("grid walk", row), ("general", row["general_kernel"])):
+            print(f"{row['grid']:>9} {name:>9}: {row['cells']:>7} cells  "
+                  f"{walk['steps']:>7} steps  flight {walk['flight_ms_median']:10.1f} ms  "
+                  f"{walk['steps_per_s']:>8} steps/s")
+        print(f"{'':>20}peak RSS {row['peak_rss_mb']:.1f} MB")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)

@@ -235,6 +235,17 @@ def cmd_example(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds generators from non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="balimpute",
@@ -245,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a synthetic population CSV")
     g.add_argument("--recipe", required=True, help="population recipe JSON")
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_seed, required=True)
     g.add_argument("--out", required=True, help="output population CSV")
     g.set_defaults(func=cmd_generate)
 
@@ -253,14 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--population", required=True)
     s.add_argument("--design", choices=("srswor", "pips-rejective"), default="pips-rejective")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--out", required=True, help="output sample CSV")
     s.set_defaults(func=cmd_sample)
 
     i = sub.add_parser("impute", help="impute the missing y values of a sample CSV")
     i.add_argument("--input", required=True, help="sample CSV")
     i.add_argument("--method", choices=("dri", "rri", "ebri"), required=True)
-    i.add_argument("--seed", type=int, help="required for rri and ebri")
+    i.add_argument("--seed", type=_seed, help="required for rri and ebri")
     i.add_argument("--out", required=True, help="output imputed CSV")
     i.add_argument("--report", help="write a JSON imputation report here")
     i.add_argument("--explain", action="store_true", help="include the model fit in the report")
@@ -272,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("simulate", help="run a Monte Carlo experiment from a config JSON")
     m.add_argument("--config", required=True)
     m.add_argument("--out", default="results", help="output directory")
-    m.add_argument("--seed", type=int, help="override the config seed")
+    m.add_argument("--seed", type=_seed, help="override the config seed")
     m.add_argument("--replications", type=int, help="override the config replications")
     m.add_argument("--workers", type=int, help="override the config worker count")
     m.add_argument("--dry-run", action="store_true",
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_simulate)
 
     e = sub.add_parser("example", help="walk through the bundled money-guess sample")
-    e.add_argument("--seed", type=int, default=1234)
+    e.add_argument("--seed", type=_seed, default=1234)
     e.set_defaults(func=cmd_example)
 
     return p

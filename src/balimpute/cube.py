@@ -4,22 +4,55 @@ Given a vector pi0 in [0, 1]^M and a q x M balancing matrix A, the flight
 phase performs a random walk inside the cube that keeps A @ pi constant at
 every step and each coordinate a martingale, ending when the kernel of A
 restricted to the still-fractional coordinates is trivial.  At most q
-coordinates remain fractional.
+coordinates remain fractional.  Every step moves along a null vector of the
+restricted matrix to whichever box face it hits, choosing the sign with the
+probability that keeps every coordinate a martingale, snaps coordinates that
+reached a face, and consumes one pre-drawn uniform.
 
-A is held by column in compressed form, so a problem costs memory in
-proportion to its nonzeros: on the imputation grid two per cell instead of
-q.  The walk reads only the few leading fractional columns each step needs,
-one step at a time:
+A problem states its matrix in one of two ways, and each has its own walk.
+
+**The imputation grid** (``CellGrid``): n_m nonrespondent rows by n_r donor
+columns, cell (k, l) starting at psi_l.  The matrix is one balance row
+dv_k e_l and one purity row per nonrespondent, so each row is a stratum
+with the same psi and e: the highly stratified case of Chauvet (2009),
+Stratified balanced sampling, and Hasler & Tille (2014), Fast balanced
+sampling for highly stratified population.  Their stratified cube method
+runs a flight inside each stratum and then one over the leftovers, and
+here each phase has a closed-form null vector, so no step eliminates:
+
+1. within row k, balance on (1, e_l): the three last fractional cells a, b,
+   c step along (e_b - e_c, e_c - e_a, e_a - e_b), or along (1, -1, 0) when
+   their residuals are equal.  That keeps the row sum and the row's
+   residual total, hence the balance row.  The row ends with no fractional
+   cell or with two, a and b, whose sum is 1 when psi sums to 1;
+2. across the rows left split, each has one free variable t_k = x_ka with
+   x_kb = 1 - t_k, and the balance row reads sum_k c_k t_k = const with
+   c_k = dv_k (e_a - e_b).  A row with c_k = 0 steps alone along (1, -1);
+   the others take the one-constraint flight, the last two rows i, j
+   stepping along t_i : t_j = c_j : -c_i.  At most one row stays split.
+
+Why this is exact: both null vectors are identities in e, not the output of
+an elimination, so no pivot tolerance decides anything and the balance
+holds to rounding whatever the residuals.  Every step of both phases lies
+in the kernel of the full matrix restricted to the fractional cells, and
+is a martingale step, so the walk is a flight phase of the grid problem:
+it keeps the balance row and every row sum, and E[itilde] = pi0.  Each
+step fixes a cell, so there are at most M steps.  A direction entry within
+DIRECTION_GUARD of 0, relative to the direction's largest entry, is not
+moved.  The trajectory is not the one the general walk below would take
+for the same uniforms.
+
+**Any other matrix** (``BalanceColumns``, or a dense ``a_matrix``) is held
+by column in compressed form, so a problem costs memory in proportion to
+its nonzeros.  The walk reads only the few leading fractional columns each
+step needs:
 
 1. take the fractional coordinates in ascending index order and read their
    balancing columns one by one, stopping at the first column that depends
    on the ones before it (Gauss-Jordan with partial pivoting);
 2. read off the null vector that column defines, which is the first
    kernel-basis vector of the restricted matrix under this ordering;
-3. step to whichever box face the null direction hits, choosing the sign with
-   the probability that keeps every coordinate a martingale;
-4. snap coordinates that reached a face and repeat until the restricted
-   kernel is trivial.
+3. step, snap, and repeat until the restricted kernel is trivial.
 
 Every column before the first dependent one is a pivot, so that column lies
 within the first min(q + 1, #fractional) fractional columns: the window of
@@ -28,8 +61,7 @@ reduced by replaying the earlier pivot operations on it (row swap, pivot-row
 division, elimination) in the order a batch Gauss-Jordan over the window
 would apply them, so the floating-point operations, the first-position
 tie-break of partial pivoting and the resulting trajectory are exactly those
-of the batch elimination.  A column touches only its nonzero rows; on the
-imputation grid that is two, and the dependent column is found within four.
+of the batch elimination.  A column touches only its nonzero rows.
 
 The pivot tolerance is PIVOT_RTOL times the largest |a| over the first
 min(q + 1, #fractional) fractional columns.  A candidate above PIVOT_RTOL
@@ -38,17 +70,7 @@ window holds, so the window maximum is only computed for the rare candidate
 below it.
 
 The fractional coordinates are kept in a list in descending index order, so
-the window is its tail and the cells a step fixes are dropped in place.  The
-walk consumes exactly one pre-drawn uniform per step.
-
-The pivots are carried from one step to the next.  Pivot k depends only on
-the ordered window columns 0..k, and a step leaves the columns in front of the
-first cell it fixes where they were, so the pivots of those columns still
-hold and the next step resumes the elimination at that cell.  The exception
-is a pivot accepted only because it clears the window tolerance: the
-tolerance reads the whole window, which the step changed, so that pivot and
-every one after it are dropped.  Carried or not, each pivot is the one the
-batch elimination over the current window would produce.
+the window is its tail and the cells a step fixes are dropped in place.
 """
 
 import math
@@ -111,22 +133,75 @@ class BalanceColumns:
 
 
 @dataclass(frozen=True)
+class CellGrid:
+    """The n_m x n_r selection grid of balanced imputation by its factors.
+
+    Cell (k, l), in row-major order, starts at the donation weight
+    ``psi_row[l]`` of donor l in every nonrespondent row k.  Its balancing
+    column holds dv_k e_l (``dv[k] * residuals[l]``) in the shared balance
+    row 0 and a 1 in the purity row 1 + k of its nonrespondent row.
+    """
+
+    psi_row: npt.NDArray[np.float64]
+    residuals: npt.NDArray[np.float64]
+    dv: npt.NDArray[np.float64]
+
+    def __post_init__(self):
+        for name in ("psi_row", "residuals", "dv"):
+            x = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if x.ndim != 1 or not np.all(np.isfinite(x)):
+                raise ValueError(f"{name} must be a finite vector")
+            object.__setattr__(self, name, x)
+        if self.psi_row.shape != self.residuals.shape:
+            raise ValueError("psi_row and residuals must have one entry per donor")
+
+    @property
+    def n_rows(self) -> int:
+        return self.dv.shape[0]
+
+    @property
+    def n_donors(self) -> int:
+        return self.residuals.shape[0]
+
+    def columns(self, with_purity_vars: bool = True) -> BalanceColumns:
+        """The grid's balancing matrix, two nonzeros per cell (one without
+        the purity rows), built by column and never dense."""
+        n_m, n_r = self.n_rows, self.n_donors
+        m = n_m * n_r
+        per = 2 if with_purity_vars else 1  # nonzeros per column
+        cells = np.repeat(np.arange(m), per)
+        rows = np.zeros(per * m, dtype=np.int64)
+        vals = np.ones(per * m)
+        vals[0::per] = np.outer(self.dv, self.residuals).ravel()
+        if with_purity_vars:
+            # column k * n_r + l: row 0 holds its balance entry, row 1 + k a 1
+            rows[1::2] = np.repeat(np.arange(1, n_m + 1), n_r)
+        return BalanceColumns.from_entries(1 + n_m if with_purity_vars else 1, m, cells,
+                                           rows, vals)
+
+
+@dataclass(frozen=True)
 class BalanceProblem:
-    """Starting point pi0 and its balancing matrix by ``columns``.  The
-    matrix may be given dense instead, as ``a_matrix`` (q rows, M columns);
-    it is converted to ``columns`` and not kept."""
+    """Starting point pi0 and its balancing matrix, given as exactly one of
+    ``columns``; ``a_matrix``, dense (q rows, M columns), converted to
+    ``columns`` and not kept; or ``grid``, the imputation grid pi0 repeats
+    psi_row over, walked by rows."""
 
     pi0: npt.NDArray[np.float64]
     a_matrix: InitVar[npt.NDArray[np.float64] | None] = None
     columns: BalanceColumns | None = None
+    grid: CellGrid | None = None
 
     def __post_init__(self, a_matrix):
         pi0 = np.ascontiguousarray(self.pi0, dtype=np.float64)
         if pi0.ndim != 1:
             raise ValueError("pi0 must be a vector")
-        if (a_matrix is None) == (self.columns is None):
-            raise ValueError("give exactly one of a_matrix and columns")
-        if a_matrix is not None:
+        if (a_matrix is not None) + (self.columns is not None) + (self.grid is not None) != 1:
+            raise ValueError("give exactly one of a_matrix, columns and grid")
+        if self.grid is not None:
+            if not np.array_equal(pi0, np.tile(self.grid.psi_row, self.grid.n_rows)):
+                raise ValueError("pi0 must repeat the grid's psi_row in every row")
+        elif a_matrix is not None:
             a = np.ascontiguousarray(a_matrix, dtype=np.float64)
             if a.ndim != 2 or a.shape[1] != pi0.shape[0]:
                 raise ValueError("a_matrix must be (q, len(pi0))")
@@ -143,7 +218,7 @@ class BalanceProblem:
 
     @property
     def n_constraints(self) -> int:
-        return self.columns.n_rows
+        return self.columns.n_rows if self.grid is None else 1 + self.grid.n_rows
 
 
 # dataclass leaves an InitVar's default behind as a class attribute, which
@@ -162,6 +237,107 @@ class FlightResult:
         return int(self.fractional.sum())
 
 
+def _step(x, window, u, t, guard):
+    """One martingale step.  ``window`` holds (cell, x[cell], direction
+    entry) triples; the cells move along the direction to the face of the
+    unit box it hits going up or going down, going up with the probability
+    that keeps every cell a martingale, and are snapped.  Entries within
+    ``guard`` of 0 stay put.  Returns the window's cells still fractional,
+    in window order.  Raises FlightPhaseError at a degenerate step length or
+    when no cell reaches a face."""
+    lam1 = lam2 = math.inf
+    for _, cur, val in window:
+        if val > guard:
+            c1 = (1.0 - cur) / val
+            c2 = cur / val
+        elif val < -guard:
+            c1 = cur / (-val)
+            c2 = (1.0 - cur) / (-val)
+        else:
+            continue
+        if c1 < lam1:
+            lam1 = c1
+        if c2 < lam2:
+            lam2 = c2
+    # neither bound can be NaN or negative: both start at inf and only fall
+    if not (0.0 < lam1 < math.inf and 0.0 < lam2 < math.inf):
+        raise FlightPhaseError(f"degenerate step length at step {t}")
+
+    step = lam1 if u < lam2 / (lam1 + lam2) else -lam2
+
+    eps_int = INTEGER_SNAP_TOL
+    kept = []
+    for k, cur, val in window:
+        if val > guard or val < -guard:
+            cur += step * val
+            if abs(cur) <= eps_int:
+                cur = 0.0
+            elif abs(cur - 1.0) <= eps_int:
+                cur = 1.0
+            x[k] = cur
+        if 0.0 < cur < 1.0:
+            kept.append(k)
+    if len(kept) == len(window):
+        raise FlightPhaseError(f"no coordinate fixed at step {t + 1}")
+    return kept
+
+
+def _snapped(pi: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    pi = pi.copy()
+    pi[np.abs(pi) <= INTEGER_SNAP_TOL] = 0.0
+    pi[np.abs(pi - 1.0) <= INTEGER_SNAP_TOL] = 1.0
+    return pi
+
+
+def _grid_walk(grid: CellGrid, u: list[float]) -> tuple[list[float], int]:
+    """The two-phase walk of the module docstring; returns the cells in
+    row-major order and the step count."""
+    guard = DIRECTION_GUARD
+    e = grid.residuals.tolist()
+    dv = grid.dv.tolist()
+    n_r = len(e)
+    start = _snapped(grid.psi_row).tolist()
+    start_free = [l for l, p in enumerate(start) if 0.0 < p < 1.0]
+    x = start * len(dv)
+    t = 0
+
+    # phase 1: within each row, on its three last fractional cells
+    split = []  # (cell a, cell b, c_k) of each row left with two fractional cells
+    for k, dv_k in enumerate(dv):
+        base = k * n_r
+        free = [base + l for l in start_free]
+        while len(free) > 2:
+            a, b, c = free[-3:]
+            e_a, e_b, e_c = e[a - base], e[b - base], e[c - base]
+            v_a, v_b, v_c = e_b - e_c, e_c - e_a, e_a - e_b
+            scale = max(abs(v_a), abs(v_b), abs(v_c))
+            if scale == 0.0:
+                v_a, v_b, scale = 1.0, -1.0, 1.0
+            free[-3:] = _step(x, ((a, x[a], v_a), (b, x[b], v_b), (c, x[c], v_c)), u[t], t,
+                              guard * scale)
+            t += 1
+        if len(free) == 2:
+            a, b = free
+            split.append((a, b, dv_k * (e[a - base] - e[b - base])))
+
+    # phase 2: one constraint, sum_k c_k x_ka, over the split rows
+    pairs = []
+    for a, b, c_k in split:
+        if c_k == 0.0:
+            _step(x, ((a, x[a], 1.0), (b, x[b], -1.0)), u[t], t, guard)
+            t += 1
+        else:
+            pairs.append((a, b, c_k))
+    while len(pairs) > 1:
+        (a_i, b_i, c_i), (a_j, b_j, c_j) = pairs[-2:]
+        kept = _step(x, ((a_i, x[a_i], c_j), (b_i, x[b_i], -c_j),
+                         (a_j, x[a_j], -c_i), (b_j, x[b_j], c_i)),
+                     u[t], t, guard * max(abs(c_i), abs(c_j)))
+        t += 1
+        pairs[-2:] = [p for p in pairs[-2:] if p[0] in kept and p[1] in kept]
+    return x, t
+
+
 def _swap_rows(col, i, j):
     x_i = col.pop(i, None)
     x_j = col.pop(j, None)
@@ -171,20 +347,11 @@ def _swap_rows(col, i, j):
         col[i] = x_j
 
 
-def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightResult:
-    """Run the flight phase; consumes exactly n_cells uniforms from rng.
-
-    The uniform draws are taken up front so the generator state after the
-    call does not depend on the number of steps.  Raises FlightPhaseError
-    when a step has a degenerate length or fixes no coordinate.
-    """
-    eps_int, pivot_rtol, lam_guard = INTEGER_SNAP_TOL, PIVOT_RTOL, DIRECTION_GUARD
-    pi = problem.pi0.copy()
-    u = rng.random(problem.n_cells)
-    a = problem.columns
-
-    pi[np.abs(pi) <= eps_int] = 0.0
-    pi[np.abs(pi - 1.0) <= eps_int] = 1.0
+def _column_walk(a: BalanceColumns, pi: npt.NDArray[np.float64],
+                 u: list[float]) -> tuple[list[float], int]:
+    """The general walk of the module docstring from the snapped start
+    ``pi``; returns the end point and the step count."""
+    pivot_rtol = PIVOT_RTOL
     free = np.flatnonzero((pi > 0.0) & (pi < 1.0))[::-1].tolist()
     x_pi = pi.tolist()
     ptr = a.col_ptr.tolist()
@@ -194,14 +361,13 @@ def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightRes
     wmax = a.n_rows + 1
 
     t = 0
-    # pivot k: (row swapped into row k, pivot value, the pivot column's
-    # entries in the other rows after the swap); carried across steps
-    pivots = []
     while free:
         nf = len(free)
         w = wmax if nf > wmax else nf
         tol = -1.0  # the window tolerance, computed on first need
-        carry = w  # pivots[carry:] were accepted on the window tolerance
+        # pivot k: (row swapped into row k, pivot value, the pivot column's
+        # entries in the other rows after the swap)
+        pivots = []
         while True:
             r = len(pivots)
             if r == w:
@@ -236,8 +402,6 @@ def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightRes
                     )
                 if best <= tol:
                     break
-                if carry > r:
-                    carry = r
 
             if p_row != r:
                 _swap_rows(col, p_row, r)
@@ -249,49 +413,24 @@ def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightRes
         # null vector on window cells free[-1], ..., free[-1 - r]
         direction = [-col.get(k, 0.0) for k in range(r)]
         direction.append(1.0)
-
-        lam1 = math.inf
-        lam2 = math.inf
-        for j, val in enumerate(direction):
-            if val > lam_guard:
-                cur = x_pi[free[-1 - j]]
-                c1 = (1.0 - cur) / val
-                c2 = cur / val
-            elif val < -lam_guard:
-                cur = x_pi[free[-1 - j]]
-                c1 = cur / (-val)
-                c2 = (1.0 - cur) / (-val)
-            else:
-                continue
-            if c1 < lam1:
-                lam1 = c1
-            if c2 < lam2:
-                lam2 = c2
-        if not (math.isfinite(lam1) and math.isfinite(lam2)) or lam1 <= 0.0 or lam2 <= 0.0:
-            raise FlightPhaseError(f"degenerate step length at step {t}")
-
-        # t < n_cells: every earlier step fixed a window cell and dropped it from free
-        step = lam1 if u[t] < lam2 / (lam1 + lam2) else -lam2
-
-        fixed = -1  # first window position the step fixes
-        for j, val in enumerate(direction):
-            if val > lam_guard or val < -lam_guard:
-                k = free[-1 - j]
-                x = x_pi[k] + step * val
-                if abs(x) <= eps_int:
-                    x = 0.0
-                elif abs(x - 1.0) <= eps_int:
-                    x = 1.0
-                x_pi[k] = x
-                if fixed < 0 and not 0.0 < x < 1.0:
-                    fixed = j
-
+        window = [(k, x_pi[k], d) for k, d in zip(free[-1 - r:], reversed(direction))]
+        free[-1 - r:] = _step(x_pi, window, u[t], t, DIRECTION_GUARD)
         t += 1
-        if fixed < 0:
-            raise FlightPhaseError(f"no coordinate fixed at step {t}")
-        free[-1 - r:] = [k for k in free[-1 - r:] if 0.0 < x_pi[k] < 1.0]
-        del pivots[min(fixed, carry):]
+    return x_pi, t
 
-    pi[:] = x_pi
-    frac = (pi > 0.0) & (pi < 1.0)
-    return FlightResult(itilde=pi, fractional=frac, steps=t)
+
+def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightResult:
+    """Run the flight phase; consumes exactly n_cells uniforms from rng.
+
+    The uniform draws are taken up front so the generator state after the
+    call does not depend on the number of steps, which is at most n_cells:
+    every step fixes a cell.  Raises FlightPhaseError when a step has a
+    degenerate length or fixes no coordinate.
+    """
+    u = rng.random(problem.n_cells).tolist()
+    if problem.grid is not None:
+        x, steps = _grid_walk(problem.grid, u)
+    else:
+        x, steps = _column_walk(problem.columns, _snapped(problem.pi0), u)
+    itilde = np.array(x, dtype=np.float64)
+    return FlightResult(itilde=itilde, fractional=(itilde > 0.0) & (itilde < 1.0), steps=steps)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .cube import BalanceColumns, BalanceProblem, FlightResult, flight_phase
+from .cube import BalanceProblem, CellGrid, FlightResult, flight_phase
 from .regression import FittedModel, NoRespondentsError
 
 MAR_CALIBRATION_TOL = 1e-6
@@ -143,25 +143,17 @@ def build_cells(
 
     Cell (k, l), in row-major order, starts at the donation weight
     ``psi_row[l]`` of donor l, the same in every nonrespondent row k.  The
-    balancing matrix already carries the division of the balancing
-    variables by psi, so it is built directly from the quotients: row 0
-    holds dv_k e_l (dv_k = d_k v_k^{1/2}), and with purity variables on, row
-    1 + k is the indicator of nonrespondent row k.  It is built by column,
-    two nonzeros per cell, never as a dense (1 + n_m) x (n_m n_r) array.
+    balancing variables come already divided by psi: dv_k e_l in the
+    balance row (dv_k = d_k v_k^{1/2}) and, with purity variables on, the
+    indicator of row k.  That problem is returned as its grid, which the
+    flight walks row by row and never builds a matrix for; without purity
+    variables it is the one balance row, by column.
     """
-    n_m, n_r = dv.shape[0], residuals.shape[0]
-    m = n_m * n_r
-    q = 1 + n_m if with_purity_vars else 1
-    per = 2 if with_purity_vars else 1  # nonzeros per column
-    cells = np.repeat(np.arange(m), per)
-    rows = np.zeros(per * m, dtype=np.int64)
-    vals = np.ones(per * m)
-    vals[0::per] = np.outer(dv, residuals).ravel()
+    grid = CellGrid(psi_row, residuals, dv)
+    pi0 = np.tile(grid.psi_row, grid.n_rows)
     if with_purity_vars:
-        # column k * n_r + l: row 0 holds its balance entry, row 1 + k a 1
-        rows[1::2] = np.repeat(np.arange(1, n_m + 1), n_r)
-    columns = BalanceColumns.from_entries(q, m, cells, rows, vals)
-    return BalanceProblem(pi0=np.tile(psi_row, n_m), columns=columns)
+        return BalanceProblem(pi0=pi0, grid=grid)
+    return BalanceProblem(pi0=pi0, columns=grid.columns(with_purity_vars=False))
 
 
 @dataclass(frozen=True)

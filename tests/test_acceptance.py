@@ -19,6 +19,7 @@ from balimpute.estimators import imputed_total
 from balimpute.harness import ExperimentConfig, MechanismSpec, run_experiment
 from balimpute.imputation import (
     Mcar,
+    build_cells,
     generate_response,
     impute_dri,
     impute_ebri,
@@ -167,6 +168,45 @@ def test_criterion_3_flight_phase_statistics():
     assert elapsed < 60.0
     print(f"[criterion 3] PASS - martingale ok, {purity_violations} purity "
           f"violations in {reps} runs, {elapsed:.1f}s")
+
+
+def test_criterion_3_grid_walk_statistics():
+    # criterion 3's statistics, bounds and seeds on the problem build_cells
+    # returns, which impute_ebri walks row by row instead of by the matrix;
+    # that walk leaves at most one split row on every run
+    t0 = time.perf_counter()
+    rng_setup = np.random.default_rng(33)
+    n_m, n_r = 3, 4
+    residuals = rng_setup.standard_normal(n_r)
+    dv = rng_setup.uniform(2.0, 9.0, n_m)
+    psi_row = rng_setup.dirichlet(np.ones(n_r) * 3)
+    problem = build_cells(psi_row, residuals, dv)
+    pi0 = np.tile(psi_row, n_m)
+    a0 = np.outer(dv, residuals).ravel()
+
+    reps = 20_000
+    rng = np.random.default_rng(34)
+    draws = np.empty((reps, n_m * n_r))
+    for i in range(reps):
+        res = flight_phase(problem, rng)
+        draws[i] = res.itilde
+        assert abs(a0 @ res.itilde - a0 @ pi0) <= 1e-12 * (np.abs(a0) @ pi0)
+        grid = res.itilde.reshape(n_m, n_r)
+        assert np.max(np.abs(grid.sum(axis=1) - 1.0)) < 1e-9
+        assert res.fractional.reshape(n_m, n_r).any(axis=1).sum() <= 1
+
+    mean = draws.mean(axis=0)
+    sd = draws.std(axis=0, ddof=1)
+    for j in range(n_m * n_r):
+        if sd[j] == 0.0:
+            assert mean[j] == pytest.approx(pi0[j], abs=1e-12)
+        else:
+            t_stat = abs(mean[j] - pi0[j]) / (sd[j] / np.sqrt(reps))
+            assert t_stat < 4.0, (j, t_stat)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0
+    print(f"[criterion 3, grid walk] PASS - martingale ok, at most one split row "
+          f"in {reps} runs, {elapsed:.1f}s")
 
 
 def test_criterion_4_efficiency_and_bias(desk_scale_run):

@@ -91,6 +91,30 @@ def test_impute_rri_requires_seed(tmp_path, capsys):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("command", ["generate", "sample", "impute", "example"])
+def test_negative_seed_is_bad_usage(tmp_path, capsys, command):
+    # every input is valid, so only the seed can stop the command
+    recipe = tmp_path / "r.json"
+    recipe.write_text('{"n_units": 100, "beta": [1.0], "target_r2": 0.36}\n')
+    pop = tmp_path / "pop.csv"
+    assert main(["generate", "--recipe", str(recipe), "--seed", "3", "--out", str(pop)]) == 0
+    smp = tmp_path / "smp.csv"
+    write_thompson_csv(smp)
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "generate": ["generate", "--recipe", str(recipe), "--out", out],
+        "sample": ["sample", "--population", str(pop), "--n", "10", "--out", out],
+        "impute": ["impute", "--input", str(smp), "--method", "rri", "--out", out],
+        "example": ["example"],
+    }[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_impute_malformed_csv_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("id,y,z1,v,pi,d,r\n1,1.0,1.0,1.0,0.5,2.0,1\n2,zzz,1.0,1.0,0.5,2.0,1\n")

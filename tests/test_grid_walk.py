@@ -1,0 +1,136 @@
+"""The stratified walk ``flight_phase`` takes on the problems ``build_cells``
+returns: its law and the invariants that define balanced imputation.
+
+It takes other trajectories than the general kernel on the same matrix, so
+these tests check what any flight phase of the grid must satisfy: every cell
+a martingale, the balance row exact, unit row sums and at most one split row.
+"""
+
+import numpy as np
+import pytest
+
+from balimpute import cube
+from balimpute.cube import BalanceProblem, CellGrid, FlightPhaseError, flight_phase
+from balimpute.imputation import build_cells
+
+
+def random_grid(rng, n_m, n_r, ties=False):
+    psi_row = rng.dirichlet(np.ones(n_r) * 2)
+    residuals = rng.standard_normal(n_r)
+    if ties and n_r > 2:
+        residuals[rng.integers(n_r)] = 0.0
+        tied = rng.choice(n_r, size=n_r // 2, replace=False)
+        residuals[tied] = residuals[tied[0]]
+    dv = rng.uniform(1.0, 9.0, n_m)
+    return psi_row, residuals, dv
+
+
+def check_invariants(problem, res):
+    """Exact balance, unit row sums, at most one split row, and that split
+    between two donors; returns the split row count."""
+    g = problem.grid
+    n_m, n_r = g.n_rows, g.n_donors
+    a0 = np.outer(g.dv, g.residuals).ravel()
+    scale = max(np.abs(a0) @ problem.pi0, 1e-300)
+    assert abs(a0 @ res.itilde - a0 @ problem.pi0) <= 1e-12 * scale
+    grid = res.itilde.reshape(n_m, n_r)
+    assert np.max(np.abs(grid.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.all((res.itilde >= 0.0) & (res.itilde <= 1.0))
+    frac = res.fractional.reshape(n_m, n_r)
+    split = np.flatnonzero(frac.any(axis=1))
+    assert split.size <= 1
+    for k in split:
+        assert frac[k].sum() == 2
+    assert res.steps <= problem.n_cells
+    return split.size
+
+
+def test_grid_problem_validation():
+    grid = CellGrid(np.full(3, 1 / 3), np.arange(3.0), np.ones(2))
+    with pytest.raises(ValueError, match="repeat"):
+        BalanceProblem(pi0=np.full(5, 1 / 3), grid=grid)
+    with pytest.raises(ValueError, match="repeat"):
+        BalanceProblem(pi0=np.array([0.5, 0.25, 0.25] * 2), grid=grid)
+    with pytest.raises(ValueError, match="exactly one"):
+        BalanceProblem(pi0=np.full(6, 1 / 3), columns=grid.columns(), grid=grid)
+    with pytest.raises(ValueError, match="one entry per donor"):
+        CellGrid(np.full(3, 1 / 3), np.arange(4.0), np.ones(2))
+    with pytest.raises(ValueError, match="finite"):
+        CellGrid(np.full(3, 1 / 3), np.array([0.0, np.nan, 1.0]), np.ones(2))
+
+
+def test_grid_walk_invariants_every_run():
+    rng = np.random.default_rng(71)
+    split_runs = 0
+    for case in range(120):
+        n_m = int(rng.integers(1, 13))
+        n_r = int(rng.integers(1, 16))
+        problem = build_cells(*random_grid(rng, n_m, n_r, ties=case % 2 == 1))
+        for seed in range(3):
+            res = flight_phase(problem, np.random.default_rng(seed))
+            split_runs += check_invariants(problem, res)
+    assert split_runs > 0  # splitting does happen; the bound is not vacuous
+
+
+def test_grid_walk_martingale():
+    # t-statistics of every cell's mean against pi0, ties and a zero
+    # residual included, as criterion 3 does for the general kernel
+    n_m, n_r = 4, 6
+    residuals = np.array([0.8, -0.3, 0.8, 0.0, 1.7, -0.3])
+    psi_row = np.random.default_rng(72).dirichlet(np.ones(n_r) * 3)
+    problem = build_cells(psi_row, residuals, np.array([1.0, 2.5, 4.0, 2.5]))
+    rng = np.random.default_rng(73)
+    reps = 6000
+    draws = np.empty((reps, n_m * n_r))
+    for i in range(reps):
+        draws[i] = flight_phase(problem, rng).itilde
+    mean = draws.mean(axis=0)
+    sd = draws.std(axis=0, ddof=1)
+    assert np.all(sd > 0.0)
+    t_stat = np.abs(mean - problem.pi0) / (sd / np.sqrt(reps))
+    assert np.all(t_stat < 4.0), t_stat
+
+
+def test_grid_walk_all_equal_residuals_leaves_every_row_pure():
+    # every window steps along (1, -1, 0) and every split row has c_k = 0,
+    # so each row is rounded on its own
+    psi_row = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+    problem = build_cells(psi_row, np.full(5, 0.7), np.array([1.0, 3.0, 2.0]))
+    for seed in range(50):
+        res = flight_phase(problem, np.random.default_rng(seed))
+        assert check_invariants(problem, res) == 0
+        assert set(res.itilde) == {0.0, 1.0}
+
+
+def test_grid_walk_zero_residuals_and_tied_pairs():
+    # two donors per row: no within-row step, and every row with tied or
+    # zero residuals has c_k = 0
+    for residuals in ([0.0, 0.0], [1.5, 1.5], [0.0, 2.0]):
+        problem = build_cells(np.array([0.4, 0.6]), np.array(residuals), np.ones(4))
+        for seed in range(30):
+            check_invariants(problem, flight_phase(problem, np.random.default_rng(seed)))
+
+
+def test_grid_walk_single_donor_is_a_fixed_point():
+    problem = build_cells(np.array([1.0]), np.array([0.3]), np.array([2.0, 5.0]))
+    res = flight_phase(problem, np.random.default_rng(0))
+    assert res.steps == 0
+    np.testing.assert_array_equal(res.itilde, np.ones(2))
+
+
+def test_grid_walk_rng_consumption_is_n_cells():
+    problem = build_cells(*random_grid(np.random.default_rng(74), 7, 9))
+    rng1 = np.random.default_rng(75)
+    res = flight_phase(problem, rng1)
+    assert 0 < res.steps < problem.n_cells
+    rng2 = np.random.default_rng(75)
+    rng2.random(problem.n_cells)
+    assert rng1.bit_generator.state == rng2.bit_generator.state
+
+
+def test_grid_walk_degenerate_step_raises(monkeypatch):
+    # a guard above every direction entry leaves no cell to step on
+    monkeypatch.setattr(cube, "DIRECTION_GUARD", 2.0)
+    problem = build_cells(np.full(4, 0.25), np.arange(4.0), np.ones(2))
+    with pytest.raises(FlightPhaseError, match="^degenerate step length at step 0$"):
+        flight_phase(problem, np.random.default_rng(0))

@@ -98,13 +98,16 @@ def test_build_cells_thompson_grid():
     assert np.all(problem.pi0 == pytest.approx(1 / 6, rel=1e-12))
     assert problem.n_constraints == 5
     assert not hasattr(problem, "a_matrix")
-    a = dense(problem.columns)
+    # the flight walks the grid; its matrix is built only on request
+    assert problem.columns is None
+    columns = problem.grid.columns()
+    a = dense(columns)
     expected_row0 = np.outer(dv, fit.residuals[:6]).ravel()
     np.testing.assert_array_equal(a[0], expected_row0)
     assert a[1, :6].sum() == 6.0
     assert a[1, 6:].sum() == 0.0
     # two nonzeros per cell: its balance entry and its row's purity 1
-    assert np.array_equal(problem.columns.col_ptr, np.arange(0, 2 * 24 + 1, 2))
+    assert np.array_equal(columns.col_ptr, np.arange(0, 2 * 24 + 1, 2))
 
 
 def test_balance_problem_memory_is_linear_in_cells():
