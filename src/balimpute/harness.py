@@ -8,6 +8,7 @@ makes every replicate reproducible in isolation and the aggregate results
 independent of how replicates are distributed over workers.
 """
 
+import contextlib
 import json
 import logging
 import os
@@ -30,7 +31,13 @@ from .imputation import (
 )
 from .population import PopulationRecipe, generate_population
 from .regression import NoRespondentsError, fit_model
-from .sampling import SamplingError, pips_probabilities, rejective_sample, srswor
+from .sampling import (
+    RejectiveDesign,
+    SamplingError,
+    pips_probabilities,
+    rejective_sample,
+    srswor,
+)
 
 log = logging.getLogger(__name__)
 
@@ -211,19 +218,22 @@ def relative_efficiency(mse_method: float, mse_reference: float) -> float:
     return mse_method / mse_reference
 
 
-def _replicate_estimates(z1, y, v, pi, n_population, design, n, mechanism,
-                         methods, t_alpha, seed, ip, im, r):
+def _replicate_estimates(population, n, mechanism, methods, t_alpha, seed, ip, im, r):
     """One replicate: draw, respond, fit, impute with every method, estimate.
 
-    Returns {(method, estimand): value}; estimands are 'total' and
+    ``population`` is (z1, y, v, design), where design is the population's
+    RejectiveDesign, or None for simple random sampling.  Returns
+    {(method, estimand): value}; estimands are 'total' and
     'df@{alpha index}'.  The rng order is fixed (sample, response, rri, ebri)
     so all methods see the same sample and response set.
     """
+    z1, y, v, design = population
+    n_population = z1.size
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ip, im, r)))
-    if design == "srswor":
+    if design is None:
         sample = srswor(n_population, n, rng)
     else:
-        sample = rejective_sample(pi, rng)
+        sample = rejective_sample(design, rng)
     idx = sample.indices
     z1_s, y_s, v_s = z1[idx], y[idx], v[idx]
     if mechanism is None:
@@ -249,19 +259,34 @@ def _replicate_estimates(z1, y, v, pi, n_population, design, n, mechanism,
     return out
 
 
-def _run_chunk(args):
-    (z1, y, v, pi, n_population, design, n, mechanism, methods, t_alpha,
-     seed, ip, im, reps) = args
+def _run_chunk(population, args):
+    """Replicates ``args[-1]`` of one cell; the other chunk arguments are
+    the small per-cell values (n, mechanism, methods, t_alpha, seed, ip, im)."""
+    *cell, reps = args
     results = []
     for r in reps:
         try:
-            est = _replicate_estimates(z1, y, v, pi, n_population, design, n,
-                                       mechanism, methods, t_alpha, seed, ip, im, r)
+            est = _replicate_estimates(population, *cell, r)
         except ABORT_ERRORS as exc:  # aborted replicate: recorded, never silently dropped
             results.append((r, None, f"{type(exc).__name__}: {exc}"))
         else:
             results.append((r, est, None))
     return results
+
+
+# A pool worker's population, set once per worker by _init_worker, so that
+# chunk arguments carry no population arrays.  The parent process never
+# sets it: its serial path passes the population to _run_chunk directly.
+_worker_population = None
+
+
+def _init_worker(population):
+    global _worker_population
+    _worker_population = population
+
+
+def _run_worker_chunk(args):
+    return _run_chunk(_worker_population, args)
 
 
 def run_experiment(config: ExperimentConfig) -> MonteCarloResult:
@@ -276,84 +301,92 @@ def run_experiment(config: ExperimentConfig) -> MonteCarloResult:
         theta_total = float(pop.y.sum())
         t_alpha = tuple(quantile(pop.y, a) for a in config.alphas)
         theta_f = tuple(float(fn_population(pop.y, t)) for t in t_alpha)
-        pi = pips_probabilities(pop.z1, n) if config.design == "pips-rejective" else None
+        design = None
+        if config.design == "pips-rejective":
+            design = RejectiveDesign(pips_probabilities(pop.z1, n))
+        population = (pop.z1, pop.y, pop.v, design)
 
-        for im, mech_spec in enumerate(config.mechanisms):
-            if mech_spec.kind == "mcar":
-                mechanism = Mcar(mech_spec.level)
-            elif mech_spec.kind == "mar":
-                mechanism = calibrate_mar(pop.z1, config.mar_lambda1, mech_spec.level)
-            else:
-                mechanism = None
+        executor = contextlib.nullcontext()  # enters as None: chunks run here
+        if workers > 1:
+            executor = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                           initargs=(population,))
+        with executor as pool:
+            for im, mech_spec in enumerate(config.mechanisms):
+                if mech_spec.kind == "mcar":
+                    mechanism = Mcar(mech_spec.level)
+                elif mech_spec.kind == "mar":
+                    mechanism = calibrate_mar(pop.z1, config.mar_lambda1, mech_spec.level)
+                else:
+                    mechanism = None
 
-            reps = list(range(config.replications))
-            chunk_args = []
-            chunk = min(64, -(-len(reps) // workers))  # ceiling division
-            for start in range(0, len(reps), chunk):
-                chunk_args.append((pop.z1, pop.y, pop.v, pi, pop.size,
-                                   config.design, n, mechanism, config.methods,
-                                   t_alpha, config.seed, ip, im,
-                                   reps[start : start + chunk]))
+                reps = list(range(config.replications))
+                chunk = min(64, -(-len(reps) // workers))  # ceiling division
+                chunk_args = [(n, mechanism, config.methods, t_alpha, config.seed, ip, im,
+                               reps[start : start + chunk])
+                              for start in range(0, len(reps), chunk)]
+                if pool is None:
+                    chunk_results = (_run_chunk(population, args) for args in chunk_args)
+                else:
+                    chunk_results = pool.map(_run_worker_chunk, chunk_args)
 
-            flat: list = [None] * len(reps)
-            if workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for chunk_res in pool.map(_run_chunk, chunk_args):
-                        for r, est, err in chunk_res:
-                            flat[r] = (est, err)
-            else:
-                for args in chunk_args:
-                    for r, est, err in _run_chunk(args):
+                flat: list = [None] * len(reps)
+                for chunk_res in chunk_results:
+                    for r, est, err in chunk_res:
                         flat[r] = (est, err)
-
-            n_aborted = 0
-            ok_mask = np.zeros(len(reps), dtype=bool)
-            store: dict = {}
-            for r, (est, err) in enumerate(flat):
-                if est is None:
-                    n_aborted += 1
-                    log.warning("replicate %d aborted in cell (%d, %s): %s",
-                                r, ip, mech_spec.label, err)
-                    continue
-                ok_mask[r] = True
-                for key, val in est.items():
-                    store.setdefault(key, np.full(len(reps), np.nan))[r] = val
-
-            if n_aborted > MAX_ABORT_FRACTION * len(reps):
-                raise RuntimeError(
-                    f"{n_aborted}/{len(reps)} replicates aborted in cell "
-                    f"({ip}, {mech_spec.label}); exceeding {MAX_ABORT_FRACTION:.0%}"
-                )
-
-            cell = CellResult(
-                population=ip,
-                mechanism=mech_spec.label,
-                theta_total=theta_total,
-                t_alpha=t_alpha,
-                theta_f=theta_f,
-                n_ok=int(ok_mask.sum()),
-                n_aborted=n_aborted,
-            )
-            estimand_thetas = {"total": theta_total}
-            for j, th in enumerate(theta_f):
-                estimand_thetas[f"df@{j}"] = th
-            for (method, estimand), vals in store.items():
-                est_ok = vals[ok_mask]
-                cell.rb[(method, estimand)] = relative_bias_percent(est_ok, estimand_thetas[estimand])
-                cell.mse[(method, estimand)] = mean_squared_error(est_ok, estimand_thetas[estimand])
-            if "rri" in config.methods:
-                for (method, estimand), m in cell.mse.items():
-                    cell.re[(method, estimand)] = relative_efficiency(
-                        m, cell.mse[("rri", estimand)]
-                    )
-            if config.keep_replicates:
-                cell.replicates = {k: vals.copy() for k, vals in store.items()}
-            cells.append(cell)
-            log.info("cell (%d, %s) done: %d ok, %d aborted",
-                     ip, mech_spec.label, cell.n_ok, n_aborted)
+                cells.append(_cell_result(config, flat, ip, mech_spec, theta_total,
+                                          t_alpha, theta_f))
 
     elapsed = time.perf_counter() - t_start
     return MonteCarloResult(config=config, cells=cells, elapsed_seconds=elapsed)
+
+
+def _cell_result(config, flat, ip, mech_spec, theta_total, t_alpha, theta_f) -> CellResult:
+    """Aggregates of one cell from its replicates' (estimates, error) pairs."""
+    n_aborted = 0
+    ok_mask = np.zeros(len(flat), dtype=bool)
+    store: dict = {}
+    for r, (est, err) in enumerate(flat):
+        if est is None:
+            n_aborted += 1
+            log.warning("replicate %d aborted in cell (%d, %s): %s",
+                        r, ip, mech_spec.label, err)
+            continue
+        ok_mask[r] = True
+        for key, val in est.items():
+            store.setdefault(key, np.full(len(flat), np.nan))[r] = val
+
+    if n_aborted > MAX_ABORT_FRACTION * len(flat):
+        raise RuntimeError(
+            f"{n_aborted}/{len(flat)} replicates aborted in cell "
+            f"({ip}, {mech_spec.label}); exceeding {MAX_ABORT_FRACTION:.0%}"
+        )
+
+    cell = CellResult(
+        population=ip,
+        mechanism=mech_spec.label,
+        theta_total=theta_total,
+        t_alpha=t_alpha,
+        theta_f=theta_f,
+        n_ok=int(ok_mask.sum()),
+        n_aborted=n_aborted,
+    )
+    estimand_thetas = {"total": theta_total}
+    for j, th in enumerate(theta_f):
+        estimand_thetas[f"df@{j}"] = th
+    for (method, estimand), vals in store.items():
+        est_ok = vals[ok_mask]
+        cell.rb[(method, estimand)] = relative_bias_percent(est_ok, estimand_thetas[estimand])
+        cell.mse[(method, estimand)] = mean_squared_error(est_ok, estimand_thetas[estimand])
+    if "rri" in config.methods:
+        for (method, estimand), m in cell.mse.items():
+            cell.re[(method, estimand)] = relative_efficiency(
+                m, cell.mse[("rri", estimand)]
+            )
+    if config.keep_replicates:
+        cell.replicates = {k: vals.copy() for k, vals in store.items()}
+    log.info("cell (%d, %s) done: %d ok, %d aborted",
+             ip, mech_spec.label, cell.n_ok, n_aborted)
+    return cell
 
 
 # ---------------------------------------------------------------------------

@@ -87,34 +87,41 @@ def calibrate_mar(
 ) -> Mar:
     """Find lambda0 so the population mean response probability hits target.
 
-    The mean of expit(l0 + l1 z1) is strictly increasing in l0, so plain
-    bisection converges; stops once the mean is within 1e-6 of the target.
+    The mean of expit(l0 + l1 z1) is strictly increasing in l0, with slope
+    mean(phi (1 - phi)).  Once a bracket is found, each pass over z1 gives
+    the mean and its slope: a Newton step that stays inside the bracket is
+    taken, any other is replaced by the bracket's midpoint.  Stops once the
+    mean is within MAR_CALIBRATION_TOL of the target.
     """
     z1 = np.asarray(z1_population, dtype=np.float64)
     if not 0.0 < target_mean < 1.0:
         raise ValueError("target mean response must lie strictly inside (0, 1)")
 
-    def mean_phi(l0: float) -> float:
-        return float(Mar(l0, lambda1).probabilities(z1).mean())
+    def mean_and_slope(l0: float) -> tuple[float, float]:
+        phi = Mar(l0, lambda1).probabilities(z1)
+        mean = float(phi.mean())
+        return mean, mean - float(np.einsum("i,i->", phi, phi)) / phi.size
 
     lo, hi = -1.0, 1.0
-    while mean_phi(lo) > target_mean:
+    while mean_and_slope(lo)[0] > target_mean:
         lo *= 2.0
         if lo < -1e6:
             raise RuntimeError("bisection bracket not found")
-    while mean_phi(hi) < target_mean:
+    while mean_and_slope(hi)[0] < target_mean:
         hi *= 2.0
         if hi > 1e6:
             raise RuntimeError("bisection bracket not found")
+    l0 = 0.5 * (lo + hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = mean_phi(mid)
+        fm, slope = mean_and_slope(l0)
         if abs(fm - target_mean) <= MAR_CALIBRATION_TOL:
-            return Mar(mid, lambda1)
+            return Mar(l0, lambda1)
         if fm < target_mean:
-            lo = mid
+            lo = l0
         else:
-            hi = mid
+            hi = l0
+        step = l0 - (fm - target_mean) / slope if slope > 0 else float("nan")
+        l0 = step if lo < step < hi else 0.5 * (lo + hi)
     raise RuntimeError("bisection did not converge")
 
 

@@ -3,8 +3,32 @@
 The unequal-probability design takes pi_k proportional to a positive size
 variable, capped at 1 iteratively: units whose proportional probability
 reaches 1 are taken with certainty and the remaining budget is respread over
-the rest.  Sampling itself is rejective (conditional Poisson): independent
-Bernoulli(pi_k) draws repeated until the realized size hits the target.
+the rest.
+
+Sampling itself is rejective (conditional Poisson) of fixed size
+n = sum(pi): P(s) is proportional to prod_{k in s} pi_k / (1 - pi_k) over
+the samples s of size n that contain every certainty unit (pi_k = 1).  A
+``RejectiveDesign`` sets the law up once per population, and
+``rejective_sample`` draws from it with one of two exact proposals, each
+repeated until it is accepted:
+
+* Bernoulli: independent Bernoulli(pi_k) for all N units, accepted when
+  the realized size is n.  P(mask = s) = prod_s pi_k prod_not-s (1 - pi_k)
+  is proportional to the law above on every s of size n.
+* Multinomial: m = n - #certain draws with replacement from the other
+  units, with probabilities p_k proportional to the odds pi_k / (1 - pi_k),
+  accepted when all m are distinct.  An accepted set s comes from m!
+  orderings of probability prod_s p_k each, again proportional to the law
+  (Tille 2006, Sampling Algorithms, ch. 5; Chen, Dempster & Liu 1994).
+
+An attempt costs N uniforms under the first and m under the second.  The
+design takes the multinomial proposal when its expected number of attempts,
+exp(C(m, 2) sum p_k^2), is no more than the Bernoulli proposal's,
+sqrt(2 pi sum pi_k (1 - pi_k)); since m <= N that never picks the costlier
+proposal.  Multinomial acceptance collapses as n grows past about
+2 sqrt(N): on a pips design of gamma sizes with N = 10,000 the rule
+predicts 2 multinomial attempts at n = 100, 21 at n = 200, about 1,100 at
+n = 300 and 3 x 10^5 at n = 400, against 25 to 49 Bernoulli attempts.
 """
 
 import csv
@@ -101,22 +125,83 @@ def srswor(n_population: int, n: int, rng: np.random.Generator) -> SampleData:
     return _sample_from(idx, pi_all)
 
 
-def rejective_sample(pi: npt.NDArray[np.float64], rng: np.random.Generator) -> SampleData:
+class RejectiveDesign:
+    """Conditional Poisson design of fixed size n = sum(pi), set up once.
+
+    Validates pi (every entry in (0, 1], integral sum), finds the certainty
+    units (pi_k = 1) and the number m of draws among the others, and picks
+    the proposal ``rejective_sample`` uses (see the module docstring).  For
+    the multinomial proposal it keeps the cumulative odds pi_k / (1 - pi_k),
+    with zero odds at the certainty units.
+    """
+
+    def __init__(self, pi: npt.NDArray[np.float64]):
+        pi = np.asarray(pi, dtype=np.float64)
+        if np.any(pi <= 0) or np.any(pi > 1):
+            raise ValueError("inclusion probabilities must lie in (0, 1]")
+        total = float(pi.sum())
+        n_target = round(total)
+        if abs(total - n_target) > 1e-9:
+            raise ValueError(f"sum(pi) = {total!r} is not integral")
+        certain = pi == 1.0
+        self.pi = pi
+        self.n = n_target
+        self.certain = np.flatnonzero(certain)
+        self.m = n_target - self.certain.size
+        self.cum_odds = None
+        if self.m == 0:
+            return
+        # sums of products by einsum, not @: at N >= 20,000 a BLAS dot
+        # product costs about 8 ms in thread start-up alone
+        odds = 1.0 - pi
+        variance = float(np.einsum("i,i->", pi, odds))  # sum pi_k (1 - pi_k)
+        np.divide(pi, odds, out=odds, where=~certain)  # certainty units keep odds 0
+        odds_sum = float(odds.sum())
+        sum_p2 = float(np.einsum("i,i->", odds, odds)) / odds_sum**2
+        # the logs of the expected attempts, exp(C(m, 2) sum p_k^2) against
+        # sqrt(2 pi sum pi_k (1 - pi_k))
+        if self.m * (self.m - 1) / 2 * sum_p2 <= 0.5 * np.log(2 * np.pi * variance):
+            # the last unit a draw can land on: trailing certainty units have
+            # zero odds, and u * total may round up to the total itself
+            self.last = pi.size - 1 - int(np.argmax(odds[::-1] > 0))
+            self.cum_odds = np.cumsum(odds, out=odds)
+
+    @property
+    def proposal(self) -> str:
+        """'multinomial' or 'bernoulli'; 'none' when every unit is certain."""
+        if self.m == 0:
+            return "none"
+        return "bernoulli" if self.cum_odds is None else "multinomial"
+
+
+def rejective_sample(design: "RejectiveDesign | npt.NDArray[np.float64]",
+                     rng: np.random.Generator) -> SampleData:
     """Conditional Poisson sample of fixed size sum(pi).
 
-    Draws independent Bernoulli(pi_k) and rejects until the realized size
-    equals round(sum(pi)); the expected number of attempts is O(sqrt(n)).
+    ``design`` is a ``RejectiveDesign``, or inclusion probabilities to set
+    one up for this draw alone.  Each attempt of the design's proposal
+    takes one ``rng.random`` call; after MAX_REJECTIVE_ATTEMPTS rejected
+    attempts the draw fails with SamplingError.  When every unit is
+    certain, the sample is all of them and rng is not used.
     """
-    pi = np.asarray(pi, dtype=np.float64)
-    if np.any(pi <= 0) or np.any(pi > 1):
-        raise ValueError("inclusion probabilities must lie in (0, 1]")
-    n_target = round(float(pi.sum()))
-    if abs(pi.sum() - n_target) > 1e-9:
-        raise ValueError(f"sum(pi) = {pi.sum()!r} is not integral")
+    if not isinstance(design, RejectiveDesign):
+        design = RejectiveDesign(design)
+    pi = design.pi
+    if design.m == 0:
+        return _sample_from(design.certain, pi)
+    cum = design.cum_odds
     for _ in range(MAX_REJECTIVE_ATTEMPTS):
-        mask = rng.random(pi.size) < pi
-        if int(mask.sum()) == n_target:
-            return _sample_from(np.flatnonzero(mask), pi)
+        if cum is None:
+            mask = rng.random(pi.size) < pi
+            if int(mask.sum()) == design.n:
+                return _sample_from(np.flatnonzero(mask), pi)
+        else:
+            picks = np.searchsorted(cum, rng.random(design.m) * cum[-1], side="right")
+            np.minimum(picks, design.last, out=picks)
+            # distinct by a set of m ints: np.unique imports numpy.ma, and a
+            # sort-and-compare raised a table run's peak RSS by 0.2 MB more
+            if len(set(picks.tolist())) == design.m:
+                return _sample_from(np.concatenate((design.certain, picks)), pi)
     raise SamplingError("rejective sampling did not reach the target size")
 
 

@@ -31,7 +31,7 @@ from balimpute.population import (
     load_thompson_example,
 )
 from balimpute.regression import ModelSpec, fit_model, regularize
-from balimpute.sampling import pips_probabilities, rejective_sample, srswor
+from balimpute.sampling import RejectiveDesign, pips_probabilities, rejective_sample, srswor
 
 pytestmark = pytest.mark.acceptance
 
@@ -264,10 +264,10 @@ def test_criterion_4_deterministic_variant_efficiency(desk_scale_run):
     pop = generate_population(
         cfg.populations[0], np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,))))
     assert float(pop.y.sum()) == cell.theta_total
-    pi = pips_probabilities(pop.z1, cfg.sample_size)
+    design = RejectiveDesign(pips_probabilities(pop.z1, cfg.sample_size))
 
     def draw(rng):
-        s = rejective_sample(pi, rng)
+        s = rejective_sample(design, rng)
         respond = rng.random(s.size) < phi0
         return pop.y[s.indices], pop.z1[s.indices], s.d, respond
 
@@ -369,8 +369,9 @@ def test_criterion_7_sampling_and_donor_oracles():
     rng = np.random.default_rng(707)
     reps = 50_000
     counts = dict.fromkeys(law, 0)
+    design = RejectiveDesign(pi)
     for _ in range(reps):
-        s = rejective_sample(pi, rng)
+        s = rejective_sample(design, rng)
         counts[tuple(s.indices)] += 1
     tv = 0.5 * sum(abs(counts[s] / reps - p) for s, p in law.items())
     assert tv < 0.02, tv

@@ -12,7 +12,7 @@ from balimpute.estimators import (
 from balimpute.imputation import impute_dri
 from balimpute.population import PopulationRecipe, generate_population
 from balimpute.regression import fit_model
-from balimpute.sampling import pips_probabilities, rejective_sample, srswor
+from balimpute.sampling import RejectiveDesign, pips_probabilities, rejective_sample, srswor
 
 
 def test_ht_total_small():
@@ -81,11 +81,11 @@ def test_ht_unbiased_under_rejective():
     z = rng.uniform(1, 6, size=25)
     y = 2 * z + rng.standard_normal(25)
     t = y.sum()
-    pi = pips_probabilities(z, 6)
+    design = RejectiveDesign(pips_probabilities(z, 6))
     reps = 4000
     est = np.empty(reps)
     for i in range(reps):
-        s = rejective_sample(pi, rng)
+        s = rejective_sample(design, rng)
         est[i] = ht_total(s.d, y[s.indices])
     se = est.std(ddof=1) / np.sqrt(reps)
     assert abs(est.mean() - t) < 4 * se

@@ -1,4 +1,5 @@
 import logging
+import pickle
 
 import numpy as np
 import pytest
@@ -132,8 +133,8 @@ def test_chunks_are_balanced_over_workers(monkeypatch, reps, workers, sizes):
     seen = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -146,8 +147,37 @@ def test_chunks_are_balanced_over_workers(monkeypatch, reps, workers, sizes):
             return map(fn, chunk_args)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "_worker_population", None)
     run_experiment(tiny_config(replications=reps, workers=workers))
     assert seen == [sizes]
+
+
+def test_chunk_arguments_carry_no_population(monkeypatch):
+    # the population reaches pool workers once, through the initializer;
+    # each chunk carries only per-cell values and its replicate numbers
+    sizes = []
+
+    class PicklingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*pickle.loads(pickle.dumps(initargs)))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunk_args):
+            sizes.extend(len(pickle.dumps(args)) for args in chunk_args)
+            return map(fn, chunk_args)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", PicklingPool)
+    monkeypatch.setattr(harness, "_worker_population", None)
+    pops = (PopulationRecipe(n_units=20_000, beta=(1.0,), target_r2=0.36),)
+    cell = run_experiment(tiny_config(populations=pops, replications=4, workers=2)).cells[0]
+    assert cell.n_ok == 4
+    assert len(sizes) == 2
+    assert max(sizes) < 64 * 1024, sizes
 
 
 def test_kept_replicates_reproduce_aggregates():

@@ -3,7 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from balimpute.population import PopulationRecipe, generate_population
 from balimpute.sampling import (
+    MAX_REJECTIVE_ATTEMPTS,
+    RejectiveDesign,
     SampleData,
     SamplingError,
     pips_probabilities,
@@ -60,12 +63,97 @@ def test_rejective_matches_enumerated_law():
     rng = np.random.default_rng(90)
     reps = 40_000
     counts = {pair: 0 for pair in probs}
+    design = RejectiveDesign(pi)
     for _ in range(reps):
-        s = rejective_sample(pi, rng)
+        s = rejective_sample(design, rng)
         counts[tuple(s.indices)] += 1
     for pair, p in probs.items():
         se = np.sqrt(p * (1 - p) / reps)
         assert abs(counts[pair] / reps - p) < 4 * se, (pair, counts[pair] / reps, p)
+
+
+def _enumerated_law(pi):
+    """P(s) over the samples of size sum(pi), proportional to
+    prod_s pi_k prod_not-s (1 - pi_k)."""
+    n = round(sum(pi))
+    weights = {}
+    for subset in combinations(range(len(pi)), n):
+        w = 1.0
+        for k, p in enumerate(pi):
+            w *= p if k in subset else 1.0 - p
+        weights[subset] = w
+    norm = sum(weights.values())
+    return {s: w / norm for s, w in weights.items() if w > 0}
+
+
+@pytest.mark.parametrize("pi, proposal, seed", [
+    # one certainty unit: the multinomial proposal draws 2 of the other 3
+    ((1.0, 0.6, 0.5, 0.9), "multinomial", 91),
+    # a design whose odds are too uneven for multinomial rejection
+    ((0.99, 0.95, 0.9, 0.1, 0.05, 0.01), "bernoulli", 92),
+])
+def test_rejective_design_matches_enumerated_law(pi, proposal, seed):
+    design = RejectiveDesign(np.array(pi))
+    assert design.proposal == proposal
+    law = _enumerated_law(pi)
+    rng = np.random.default_rng(seed)
+    reps = 50_000
+    counts = dict.fromkeys(law, 0)
+    for _ in range(reps):
+        counts[tuple(rejective_sample(design, rng).indices)] += 1
+    assert sum(counts.values()) == reps  # no sample outside the law's support
+    for subset, p in law.items():
+        se = np.sqrt(p * (1 - p) / reps)
+        assert abs(counts[subset] / reps - p) < 4 * se, (subset, counts[subset] / reps, p)
+
+
+def _bernoulli_loop(pi, rng):
+    """The rejective sampler before RejectiveDesign, kept verbatim but for
+    returning the drawn indices."""
+    pi = np.asarray(pi, dtype=np.float64)
+    if np.any(pi <= 0) or np.any(pi > 1):
+        raise ValueError("inclusion probabilities must lie in (0, 1]")
+    n_target = round(float(pi.sum()))
+    if abs(pi.sum() - n_target) > 1e-9:
+        raise ValueError(f"sum(pi) = {pi.sum()!r} is not integral")
+    for _ in range(MAX_REJECTIVE_ATTEMPTS):
+        mask = rng.random(pi.size) < pi
+        if int(mask.sum()) == n_target:
+            return np.flatnonzero(mask)
+    raise SamplingError("rejective sampling did not reach the target size")
+
+
+def test_bernoulli_side_draws_are_unchanged():
+    recipe = PopulationRecipe(n_units=10_000, beta=(1.0,), target_r2=0.36)
+    pi = pips_probabilities(generate_population(recipe, np.random.default_rng(1)).z1, 400)
+    design = RejectiveDesign(pi)
+    assert design.proposal == "bernoulli"
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert np.array_equal(rejective_sample(design, rng).indices, _bernoulli_loop(pi, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n_units, r2", [(10_000, 0.36), (10_000, 0.64), (1_000_000, 0.36)])
+def test_benchmark_shapes_take_the_multinomial_proposal(n_units, r2):
+    # the table replication's populations and the census-scale one, n = 100
+    recipe = PopulationRecipe(n_units=n_units, beta=(1.0,), target_r2=r2)
+    pi = pips_probabilities(generate_population(recipe, np.random.default_rng(2)).z1, 100)
+    design = RejectiveDesign(pi)
+    assert design.proposal == "multinomial"
+    s = rejective_sample(design, np.random.default_rng(3))
+    assert s.size == 100 and np.all(np.diff(s.indices) > 0)
+
+
+def test_all_certain_design_draws_nothing():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    design = RejectiveDesign(np.ones(4))
+    assert design.m == 0 and design.proposal == "none"
+    s = rejective_sample(design, rng)
+    assert np.array_equal(s.indices, np.arange(4))
+    assert rng.bit_generator.state == state
 
 
 def test_rejective_sample_shape():
