@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .estimators import imputed_total, nhat
 from .harness import ExperimentConfig, run_experiment, write_tables
-from .imputation import impute_dri, impute_ebri, impute_rri
+from .imputation import GridTooLargeError, impute_dri, impute_ebri, impute_rri
 from .population import (
     PopulationRecipe,
     generate_population,
@@ -128,8 +128,11 @@ def cmd_impute(args) -> int:
     elif args.method == "rri":
         ds = impute_rri(fit, z1[:, None], y, v, rng)
     else:
-        ds = impute_ebri(fit, z1[:, None], y, v, sample.d, rng,
-                         with_purity_vars=not args.no_purity_vars)
+        try:
+            ds = impute_ebri(fit, z1[:, None], y, v, sample.d, rng,
+                             with_purity_vars=not args.no_purity_vars)
+        except GridTooLargeError as exc:
+            raise InputError(f"cannot impute {args.input}: {exc}") from exc
     _write_imputed_csv(args.out, sample, ds, z1, v)
 
     target, achieved, rel = _balance_report(fit, ds, sample.d, v)

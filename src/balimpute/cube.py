@@ -17,30 +17,49 @@ dv_k e_l and one purity row per nonrespondent, so each row is a stratum
 with the same psi and e: the highly stratified case of Chauvet (2009),
 Stratified balanced sampling, and Hasler & Tille (2014), Fast balanced
 sampling for highly stratified population.  Their stratified cube method
-runs a flight inside each stratum and then one over the leftovers, and
-here each phase has a closed-form null vector, so no step eliminates:
+runs a flight inside each stratum and then one over the leftovers.  Here
+the first has a closed form shared by every row and the second a
+closed-form null vector, so no step eliminates:
 
-1. within row k, balance on (1, e_l): the three last fractional cells a, b,
-   c step along (e_b - e_c, e_c - e_a, e_a - e_b), or along (1, -1, 0) when
-   their residuals are equal.  That keeps the row sum and the row's
-   residual total, hence the balance row.  The row ends with no fractional
-   cell or with two, a and b, whose sum is 1 when psi sums to 1;
+1. within each row, balance on (1, e_l): the splitting method of Deville &
+   Tille (1998), Unequal probability sampling without replacement through
+   a splitting method.  Once per grid, psi on its free donors is written
+   as a mixture of probability measures with mean ebar = sum_l psi_l e_l:
+   a one-point measure at each donor with e_l = ebar, and two-point
+   measures pairing the donors below ebar with those above, each side
+   taken in index order, by the north-west-corner rule.  Pair (a, b) puts
+   x_a = (e_b - ebar) / (e_b - e_a) on a and x_b = 1 - x_a on b, with
+   weight min(m_a / x_a, m_b / x_b) in the masses m not yet assigned, and
+   the donor it exhausts advances.  The set-up is one pass over the
+   donors.  Row k then takes the component the uniform u[k] falls in on
+   the cumulative weights, all rows at once.  Against rounding, the
+   rounding of ebar is carried in the deviations e_l - ebar, and each
+   side's donor farthest from ebar goes last and takes what the other
+   side leaves: what rounding strands is then mass t / |e_l - ebar| of
+   the smallest size;
 2. across the rows left split, each has one free variable t_k = x_ka with
    x_kb = 1 - t_k, and the balance row reads sum_k c_k t_k = const with
    c_k = dv_k (e_a - e_b).  A row with c_k = 0 steps alone along (1, -1);
    the others take the one-constraint flight, the last two rows i, j
    stepping along t_i : t_j = c_j : -c_i.  At most one row stays split.
 
-Why this is exact: both null vectors are identities in e, not the output of
+Why this is exact: every component of phase 1 keeps the row sum, 1, and
+the row's residual total, ebar, so each row keeps its purity row and its
+share dv_k ebar of the balance row whichever component it takes; and the
+weights reproduce psi, so E[x_kl] = psi_l.  Phase 1 is thus a flight of
+each stratum drawn in one step, not a walk: it ends where the within-row
+walk of Chauvet's method can end, on one donor or on two that straddle
+ebar.  The null vector of phase 2 is an identity in e, not the output of
 an elimination, so no pivot tolerance decides anything and the balance
-holds to rounding whatever the residuals.  Every step of both phases lies
-in the kernel of the full matrix restricted to the fractional cells, and
-is a martingale step, so the walk is a flight phase of the grid problem:
-it keeps the balance row and every row sum, and E[itilde] = pi0.  Each
-step fixes a cell, so there are at most M steps.  A direction entry within
-DIRECTION_GUARD of 0, relative to the direction's largest entry, is not
-moved.  The trajectory is not the one the general walk below would take
-for the same uniforms.
+holds to rounding whatever the residuals.  Each step of phase 2 is a
+martingale step in the kernel of the full matrix restricted to the
+fractional cells, so the walk is a flight phase of the grid problem: it
+keeps the balance row and every row sum, and E[itilde] = pi0.  Phase 1
+uses one uniform per row and each step of phase 2 fixes a split row, so
+there are at most 2 n_m steps.  A direction entry within DIRECTION_GUARD
+of 0, relative to the direction's largest entry, is not moved.  The
+trajectory is not the one the general walk below would take for the same
+uniforms.
 
 **Any other matrix** (``BalanceColumns``, or a dense ``a_matrix``) is held
 by column in compressed form, so a problem costs memory in proportion to
@@ -289,53 +308,115 @@ def _snapped(pi: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     return pi
 
 
-def _grid_walk(grid: CellGrid, u: list[float]) -> tuple[list[float], int]:
+def _splitting(psi: npt.NDArray[np.float64], e: npt.NDArray[np.float64]):
+    """Phase 1's decomposition of the module docstring: the snapped psi on
+    its free donors as a mixture of one- and two-point measures, each with
+    mean ebar.  Returns, per component, its donors lo and hi, their values
+    x_lo and x_hi, and its weight; a one-point component at donor l has
+    lo = hi = l, x_lo = 0 and x_hi = 1.  The weights sum to the free mass
+    of psi."""
+    free = np.flatnonzero((psi > 0.0) & (psi < 1.0))
+    m = psi[free]
+    if free.size == 0:
+        return free, free, m, m, m
+    d = e[free] - (m * e[free]).sum() / m.sum()
+    # carry the rounding of ebar in d: each pass leaves sum m d at eps times
+    # the sum m |d| it started from, so two reach the rounding of the
+    # spread of e even when e spans a few ulps of ebar
+    for _ in range(2):
+        d -= (m * d).sum() / m.sum()
+    at = d == 0.0
+    if not (d < 0.0).any() or not (d > 0.0).any():  # every e within rounding of ebar
+        at[:] = True
+    lo = hi = free[at]
+    x_lo, x_hi, w = np.zeros(lo.size), np.ones(lo.size), m[at]
+    if at.all():
+        return lo, hi, x_lo, x_hi, w
+
+    # The north-west-corner rule in deviation mass m |d|: pair (a, b) takes
+    # t = min of the two, weight t/|d_a| + t/|d_b| = min(m_a/x_a, m_b/x_b).
+    # Each side's largest |d| goes last and takes what the other side
+    # leaves, so the rounding left over is mass t/|d| of the smallest size.
+    sides = []
+    for side in (np.flatnonzero(d < 0.0), np.flatnonzero(d > 0.0)):
+        k = int(np.argmax(np.abs(d[side])))
+        sides.append(np.append(np.delete(side, k), side[k]))
+    below, above = sides
+    dev_b, dev_a = (m[below] * -d[below]).tolist(), (m[above] * d[above]).tolist()
+    last_b, last_a = below.size - 1, above.size - 1
+    i = j = 0
+    r_b, r_a = dev_b[0], dev_a[0]
+    pairs = []  # (i, j, t)
+    while i < last_b or j < last_a:
+        if j == last_a or (i < last_b and r_b <= r_a):
+            pairs.append((i, j, r_b))
+            r_a -= r_b
+            i += 1
+            r_b = dev_b[i]
+        else:
+            pairs.append((i, j, r_a))
+            r_b -= r_a
+            j += 1
+            r_a = dev_a[j]
+    pairs.append((i, j, max(min(r_b, r_a), 0.0)))  # a last donor may be overdrawn by rounding
+
+    i, j, t = (np.array(v) for v in zip(*pairs))
+    a, b = below[i], above[j]
+    p, q = -d[a], d[b]
+    xa = q / (p + q)
+    xb = 1.0 - xa
+    # a deviation below the rounding of the other leaves one donor
+    one = (xb <= 0.0) | (xb >= 1.0)
+    xa[one] = 1.0 - xb[one]
+    return (np.concatenate((lo, free[a])), np.concatenate((hi, free[b])),
+            np.concatenate((x_lo, xa)), np.concatenate((x_hi, xb)),
+            np.concatenate((w, t / p + t / q)))
+
+
+def _grid_walk(grid: CellGrid, u: npt.NDArray[np.float64]) -> tuple[npt.NDArray[np.float64], int]:
     """The two-phase walk of the module docstring; returns the cells in
-    row-major order and the step count."""
+    row-major order and the step count, one per uniform used."""
     guard = DIRECTION_GUARD
-    e = grid.residuals.tolist()
-    dv = grid.dv.tolist()
-    n_r = len(e)
-    start = _snapped(grid.psi_row).tolist()
-    start_free = [l for l, p in enumerate(start) if 0.0 < p < 1.0]
-    x = start * len(dv)
-    t = 0
+    n_m = grid.n_rows
+    start = _snapped(grid.psi_row)
+    lo, hi, x_lo, x_hi, w = _splitting(start, grid.residuals)
+    x = np.tile(np.where((start > 0.0) & (start < 1.0), 0.0, start), (n_m, 1))
+    if w.size == 0:
+        return x.ravel(), 0
 
-    # phase 1: within each row, on its three last fractional cells
-    split = []  # (cell a, cell b, c_k) of each row left with two fractional cells
-    for k, dv_k in enumerate(dv):
-        base = k * n_r
-        free = [base + l for l in start_free]
-        while len(free) > 2:
-            a, b, c = free[-3:]
-            e_a, e_b, e_c = e[a - base], e[b - base], e[c - base]
-            v_a, v_b, v_c = e_b - e_c, e_c - e_a, e_a - e_b
-            scale = max(abs(v_a), abs(v_b), abs(v_c))
-            if scale == 0.0:
-                v_a, v_b, scale = 1.0, -1.0, 1.0
-            free[-3:] = _step(x, ((a, x[a], v_a), (b, x[b], v_b), (c, x[c], v_c)), u[t], t,
-                              guard * scale)
-            t += 1
-        if len(free) == 2:
-            a, b = free
-            split.append((a, b, dv_k * (e[a - base] - e[b - base])))
+    # phase 1: row k takes component pick[k] with probability w / sum(w)
+    cum = np.cumsum(w)
+    pick = np.minimum(np.searchsorted(cum, u[:n_m] * cum[-1], side="right"), w.size - 1)
+    rows = np.arange(n_m)
+    x[rows, lo[pick]] = x_lo[pick]
+    x[rows, hi[pick]] = x_hi[pick]
+    t = n_m
 
-    # phase 2: one constraint, sum_k c_k x_ka, over the split rows
+    # phase 2: one constraint, sum_k c_k x_ka, over the split rows; split
+    # row i holds its two cells at 2i and 2i + 1 of xs
+    rows = rows[(x_lo[pick] > 0.0) & (x_lo[pick] < 1.0)]
+    a, b = lo[pick[rows]], hi[pick[rows]]
+    xs = np.column_stack((x[rows, a], x[rows, b])).ravel().tolist()
+    c = (grid.dv[rows] * (grid.residuals[a] - grid.residuals[b])).tolist()
+    u = u[:n_m + len(c)].tolist()
     pairs = []
-    for a, b, c_k in split:
+    for i, c_k in enumerate(c):
         if c_k == 0.0:
-            _step(x, ((a, x[a], 1.0), (b, x[b], -1.0)), u[t], t, guard)
+            _step(xs, ((2 * i, xs[2 * i], 1.0), (2 * i + 1, xs[2 * i + 1], -1.0)), u[t], t, guard)
             t += 1
         else:
-            pairs.append((a, b, c_k))
+            pairs.append((2 * i, 2 * i + 1, c_k))
     while len(pairs) > 1:
         (a_i, b_i, c_i), (a_j, b_j, c_j) = pairs[-2:]
-        kept = _step(x, ((a_i, x[a_i], c_j), (b_i, x[b_i], -c_j),
-                         (a_j, x[a_j], -c_i), (b_j, x[b_j], c_i)),
+        kept = _step(xs, ((a_i, xs[a_i], c_j), (b_i, xs[b_i], -c_j),
+                          (a_j, xs[a_j], -c_i), (b_j, xs[b_j], c_i)),
                      u[t], t, guard * max(abs(c_i), abs(c_j)))
         t += 1
         pairs[-2:] = [p for p in pairs[-2:] if p[0] in kept and p[1] in kept]
-    return x, t
+    xs = np.array(xs).reshape(-1, 2)
+    x[rows, a] = xs[:, 0]
+    x[rows, b] = xs[:, 1]
+    return x.ravel(), t
 
 
 def _swap_rows(col, i, j):
@@ -424,13 +505,15 @@ def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightRes
 
     The uniform draws are taken up front so the generator state after the
     call does not depend on the number of steps, which is at most n_cells:
-    every step fixes a cell.  Raises FlightPhaseError when a step has a
-    degenerate length or fixes no coordinate.
+    every step of the general walk fixes a cell, and the grid walk uses one
+    uniform per row and one per split row at most, no uniform when no donor
+    is free and no split row when only one is.  Raises FlightPhaseError
+    when a step has a degenerate length or fixes no coordinate.
     """
-    u = rng.random(problem.n_cells).tolist()
+    u = rng.random(problem.n_cells)
     if problem.grid is not None:
-        x, steps = _grid_walk(problem.grid, u)
+        itilde, steps = _grid_walk(problem.grid, u)
     else:
-        x, steps = _column_walk(problem.columns, _snapped(problem.pi0), u)
-    itilde = np.array(x, dtype=np.float64)
+        x, steps = _column_walk(problem.columns, _snapped(problem.pi0), u.tolist())
+        itilde = np.array(x, dtype=np.float64)
     return FlightResult(itilde=itilde, fractional=(itilde > 0.0) & (itilde < 1.0), steps=steps)

@@ -29,6 +29,15 @@ from .cube import BalanceProblem, CellGrid, FlightResult, flight_phase
 from .regression import FittedModel, NoRespondentsError
 
 MAR_CALIBRATION_TOL = 1e-6
+# largest nonrespondent x donor grid impute_ebri walks: 8x the 500 x 500
+# grid of benchmarks/bench_flight_phase.py.  A 1,400 x 1,400 grid peaked at
+# 51 MB under tracemalloc; without purity variables the general kernel
+# holds several times that
+MAX_GRID_CELLS = 2_000_000
+
+
+class GridTooLargeError(ValueError):
+    """The ebri cell grid exceeds MAX_GRID_CELLS."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +71,12 @@ class Mar:
 
     def probabilities(self, z1: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
         x = self.lambda0 + self.lambda1 * np.asarray(z1, dtype=np.float64)
-        # stable logistic: exp of a nonpositive argument only
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        # expit(x) = (1 + tanh(x / 2)) / 2: stable for any x, without masks
+        x *= 0.5
+        np.tanh(x, out=x)
+        x += 1.0
+        x *= 0.5
+        return x
 
 
 ResponseMechanism = Mcar | Mar
@@ -231,8 +239,14 @@ def impute_ebri(
     rng: np.random.Generator,
     with_purity_vars: bool = True,
 ) -> ImputedDataset:
-    """Exact balanced random imputation via one flight phase over the cells."""
+    """Exact balanced random imputation via one flight phase over the cells.
+    Raises GridTooLargeError, before allocating the grid, when it would have
+    more than MAX_GRID_CELLS cells."""
     rows, cols = _donor_split(model.respond)
+    if rows.size * cols.size > MAX_GRID_CELLS:
+        raise GridTooLargeError(
+            f"{rows.size} nonrespondents x {cols.size} donors = {rows.size * cols.size} cells, "
+            f"above the limit of {MAX_GRID_CELLS}")
     if rows.size == 0:
         return _imputed("ebri", model, z, y, v, rows, cols, np.zeros(0))
     v = np.asarray(v, dtype=np.float64)

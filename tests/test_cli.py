@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import balimpute
+from balimpute import imputation
 from balimpute.cli import main
 from balimpute.population import load_thompson_example
 from balimpute.sampling import SampleData, sample_to_csv
@@ -145,6 +146,21 @@ def test_impute_without_respondents_is_bad_input(tmp_path, capsys):
     assert code == 2
     assert "respondents" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cap, code", [(23, 2), (24, 0)])
+def test_impute_ebri_grid_cap(tmp_path, capsys, monkeypatch, cap, code):
+    # the Thompson sample's grid is 4 nonrespondents x 6 donors = 24 cells
+    monkeypatch.setattr(imputation, "MAX_GRID_CELLS", cap)
+    src = tmp_path / "s.csv"
+    write_thompson_csv(src)
+    out = tmp_path / "x.csv"
+    got, _, err = run(capsys, "impute", "--input", str(src), "--method", "ebri",
+                      "--seed", "1", "--out", str(out))
+    assert got == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "24 cells, above the limit of 23" in err
 
 
 def test_simulate_missing_config(tmp_path, capsys):

@@ -129,8 +129,69 @@ def test_grid_walk_rng_consumption_is_n_cells():
 
 
 def test_grid_walk_degenerate_step_raises(monkeypatch):
-    # a guard above every direction entry leaves no cell to step on
+    # phase 1 leaves both rows split (no residual equals the mean 1.5), so
+    # phase 2's first step, after the two uniforms of phase 1, is step 2; a
+    # guard above every direction entry leaves it no cell to step on
     monkeypatch.setattr(cube, "DIRECTION_GUARD", 2.0)
     problem = build_cells(np.full(4, 0.25), np.arange(4.0), np.ones(2))
-    with pytest.raises(FlightPhaseError, match="^degenerate step length at step 0$"):
+    with pytest.raises(FlightPhaseError, match="^degenerate step length at step 2$"):
         flight_phase(problem, np.random.default_rng(0))
+
+
+def check_splitting(psi, e):
+    """Phase 1's mixture against its definition, exactly: it reproduces psi
+    on the free donors, every component is a probability with mean ebar,
+    and the north-west-corner rule makes at most #below + #above - 1 pairs."""
+    lo, hi, x_lo, x_hi, w = cube._splitting(psi, e)
+    free = (psi > 0.0) & (psi < 1.0)
+    mix = np.zeros_like(psi)
+    np.add.at(mix, lo, w * x_lo)
+    np.add.at(mix, hi, w * x_hi)
+    np.testing.assert_allclose(mix[free], psi[free], rtol=0.0, atol=1e-12)
+    assert not mix[~free].any()
+    assert w.sum() == pytest.approx(psi[free].sum(), rel=0.0, abs=1e-12)
+    assert np.all(w >= 0.0)
+    assert np.all((x_lo >= 0.0) & (x_hi > 0.0) & (x_lo + x_hi == 1.0))
+    if not free.any():
+        assert w.size == 0
+        return
+    ebar = psi[free] @ e[free] / psi[free].sum()
+    scale = np.abs(e[free]).max()
+    means = x_lo * e[lo] + x_hi * e[hi]
+    assert np.all(np.abs(means - ebar) <= 1e-12 * scale), (means, ebar)
+    dev = e[free] - ebar
+    n_at = int(np.sum(np.abs(dev) <= 1e-13 * scale))
+    n_below = int(np.sum(dev < -1e-13 * scale))
+    n_above = int(np.sum(dev > 1e-13 * scale))
+    pairs = n_below + n_above - 1 if n_below and n_above else 0
+    assert w.size <= pairs + n_at
+
+
+@pytest.mark.parametrize("psi, e", [
+    # tied residuals on both sides of the mean
+    ([0.1, 0.2, 0.3, 0.15, 0.25], [0.8, -0.3, 0.8, -0.3, 1.7]),
+    # a zero residual, and one at the mean exactly (ebar = 0)
+    ([0.25, 0.5, 0.25], [-1.0, 0.0, 1.0]),
+    ([0.2, 0.3, 0.1, 0.4], [0.0, -2.0, 3.5, 0.6]),
+    # all residuals equal: every component one-point, every row pure
+    ([0.1, 0.2, 0.3, 0.15, 0.25], [0.7] * 5),
+    ([0.1] * 10, [0.1 * 3] * 10),
+    # a single free donor
+    ([0.0, 0.7, 0.0], [1.0, -2.0, 3.0]),
+    # psi with a 0 or a 1 entry
+    ([0.0, 0.3, 0.2, 0.5], [5.0, -1.0, 0.5, 1.0]),
+    ([1.0, 0.0, 0.0], [0.3, -0.2, 0.1]),
+    # two donors, and a residual far from the rest
+    ([0.4, 0.6], [0.0, 2.0]),
+    ([0.999, 0.001], [0.0, 1e6]),
+])
+def test_splitting_decomposition_oracle(psi, e):
+    check_splitting(np.array(psi), np.array(e))
+
+
+def test_splitting_decomposition_random_rows():
+    rng = np.random.default_rng(76)
+    for case in range(200):
+        n_r = int(rng.integers(1, 30))
+        psi_row, residuals, _ = random_grid(rng, 1, n_r, ties=case % 2 == 1)
+        check_splitting(psi_row, residuals)

@@ -62,6 +62,19 @@ def test_mar_probabilities_monotone_and_stable():
     assert huge[0] == 1.0 and huge[1] == 0.0
 
 
+def test_mar_probabilities_match_masked_logistic():
+    # the masked form exp(-x) / (1 + exp(-x)) per sign is the reference; the
+    # tanh form rounds differently, within 2 eps absolute
+    x = np.linspace(-40.0, 40.0, 100_001)
+    ref = np.empty_like(x)
+    pos = x >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    ref[~pos] = ex / (1.0 + ex)
+    got = Mar(lambda0=0.0, lambda1=1.0).probabilities(x)
+    assert np.max(np.abs(got - ref)) <= 2 * np.finfo(np.float64).eps
+
+
 def test_calibrate_mar_flat_slope_closed_form():
     # lambda1 = 0 makes every unit share the probability logistic(lambda0),
     # so hitting mean 0.75 forces lambda0 = log 3
