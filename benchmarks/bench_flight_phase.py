@@ -2,15 +2,16 @@
 
 Each grid is an n x n imputation grid (n nonrespondent rows, n donor
 columns, one balance row plus n purity rows) built the way ``impute_ebri``
-builds it, through ``imputation.build_cells``.  Every grid is walked twice:
-by the grid walk ``flight_phase`` takes on that problem, and by the general
-kernel on the same grid's balancing matrix (``CellGrid.columns``), the
-kernel dense and ``--no-purity-vars`` problems take.  For each walk the
-script reports the build time, the flight time (median and range over the
-repeats) and flight steps per second; for the grid, the peak resident set
-size of this process after both walks, read with ``resource.getrusage``.
-Grids run in ascending size, so each peak covers that grid and the smaller
-ones before it.
+builds it, through ``imputation.build_cells``.  Every grid is walked by the
+grid walk ``flight_phase`` takes on that problem; grids up to
+``--general-max`` are also walked by the general kernel on the same grid's
+balancing matrix (``CellGrid.columns``), the kernel dense and
+``--no-purity-vars`` problems take, which holds every cell.  For each walk
+the script reports the build time, the flight time (median and range over
+the repeats) and flight steps per second.  Each grid runs in a fresh
+interpreter, so its ``peak_rss_mb``, read with ``resource.getrusage`` after
+its walks, is that grid's own; ``base_rss_mb`` is the same interpreter's
+peak before the grid is built.
 
 Run from the repo root:
 
@@ -19,6 +20,7 @@ Run from the repo root:
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import resource
@@ -55,9 +57,10 @@ def time_flight(problem: BalanceProblem, seed: int, repeats: int) -> dict:
     }
 
 
-def time_grid(n: int, seed: int, repeats: int) -> dict:
-    """The grid walk's numbers at the top level, the general kernel's under
-    ``general_kernel``."""
+def time_grid(n: int, seed: int, repeats: int, general: bool = True) -> dict:
+    """The grid walk's numbers at the top level, the general kernel's, when
+    ``general`` is set, under ``general_kernel``."""
+    base_rss = peak_rss_mb()
     rng = np.random.default_rng(seed)
     residuals = rng.standard_normal(n)  # drawn before dv, as for BENCH_4.json
     dv = 1.0 + rng.random(n)
@@ -71,19 +74,24 @@ def time_grid(n: int, seed: int, repeats: int) -> dict:
         "build_ms": round(build_s * 1e3, 2),
         **time_flight(problem, seed, repeats),
     }
-    t0 = time.perf_counter()
-    general = BalanceProblem(pi0=problem.pi0, columns=problem.grid.columns())
-    build_s = time.perf_counter() - t0
-    row["general_kernel"] = {"build_ms": round(build_s * 1e3, 2),
-                             **time_flight(general, seed, repeats)}
+    if general:
+        t0 = time.perf_counter()
+        by_columns = BalanceProblem(pi0=np.tile(problem.grid.psi_row, n),
+                                    columns=problem.grid.columns())
+        build_s = time.perf_counter() - t0
+        row["general_kernel"] = {"build_ms": round(build_s * 1e3, 2),
+                                 **time_flight(by_columns, seed, repeats)}
+    row["base_rss_mb"] = round(base_rss, 1)
     row["peak_rss_mb"] = round(peak_rss_mb(), 1)
     return row
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--grids", default="50,100,200,500",
+    parser.add_argument("--grids", default="50,100,200,500,1000,2000,5000,10000",
                         help="comma-separated grid sides n (n x n cells each)")
+    parser.add_argument("--general-max", type=int, default=500,
+                        help="largest n the general kernel also walks")
     parser.add_argument("--repeats", type=int, default=3, help="flights timed per grid")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="also write the results as JSON here")
@@ -99,19 +107,26 @@ def main() -> int:
         },
         "repeats": args.repeats,
         "seed": args.seed,
+        "general_max": args.general_max,
         "grids": [],
     }
     env = report["environment"]
     print(f"python {env['python']}, numpy {env['numpy']}, {env['cpu_count']} cpus; "
           f"{args.repeats} flights per grid")
+    ctx = multiprocessing.get_context("spawn")
     for n in sorted(int(x) for x in args.grids.split(",")):
-        row = time_grid(n, args.seed, args.repeats)
+        with ctx.Pool(1) as pool:  # a fresh interpreter: the peak RSS is this grid's
+            row = pool.apply(time_grid, (n, args.seed, args.repeats, n <= args.general_max))
         report["grids"].append(row)
-        for name, walk in (("grid walk", row), ("general", row["general_kernel"])):
-            print(f"{row['grid']:>9} {name:>9}: {row['cells']:>7} cells  "
+        walks = [("grid walk", row)]
+        if "general_kernel" in row:
+            walks.append(("general", row["general_kernel"]))
+        for name, walk in walks:
+            print(f"{row['grid']:>11} {name:>9}: {row['cells']:>9} cells  "
                   f"{walk['steps']:>7} steps  flight {walk['flight_ms_median']:10.1f} ms  "
                   f"{walk['steps_per_s']:>8} steps/s")
-        print(f"{'':>20}peak RSS {row['peak_rss_mb']:.1f} MB")
+        print(f"{'':>22}peak RSS {row['peak_rss_mb']:.1f} MB "
+              f"(before the grid {row['base_rss_mb']:.1f} MB)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)

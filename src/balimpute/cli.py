@@ -91,21 +91,27 @@ def cmd_sample(args) -> int:
 def _write_imputed_csv(path, sample, dataset, z1, v):
     import csv
 
+    # csv writes each float as str(), its shortest round-trip repr
+    columns = (sample.indices + 1, dataset.y_star, z1, v, sample.pi, sample.d,
+               dataset.respond.astype(np.int64), (~dataset.respond).astype(np.int64),
+               dataset.eps_star)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "y", "z1", "v", "pi", "d", "r", "imputed", "eps_star"])
-        for i in range(sample.size):
-            w.writerow([
-                int(sample.indices[i]) + 1,
-                repr(float(dataset.y_star[i])),
-                repr(float(z1[i])),
-                repr(float(v[i])),
-                repr(float(sample.pi[i])),
-                repr(float(sample.d[i])),
-                int(dataset.respond[i]),
-                int(not dataset.respond[i]),
-                repr(float(dataset.eps_star[i])),
-            ])
+        w.writerows(zip(*(c.tolist() for c in columns)))
+
+
+def _donor_rows(sample, dataset):
+    """The report's donors: per nonrespondent, its unit id, purity and the
+    donor unit ids it takes a share of, with those shares."""
+    ids = (sample.indices + 1).tolist()
+    col_ids = [str(ids[j]) for j in dataset.col_units.tolist()]
+    return [
+        {"unit": ids[i], "pure": pure,
+         "weights": {col_ids[j]: s for j, s in zip(donors, shares) if s > 0}}
+        for i, pure, donors, shares in zip(dataset.row_units.tolist(), dataset.pure.tolist(),
+                                           dataset.donors.tolist(), dataset.shares.tolist())
+    ]
 
 
 def cmd_impute(args) -> int:
@@ -148,27 +154,15 @@ def cmd_impute(args) -> int:
             "total_imputed": imputed_total(ds, sample.d),
             "nhat": nhat(sample.d),
         }
-        if ds.donor_weights is not None:
-            report["donors"] = [
-                {
-                    "unit": int(sample.indices[ds.row_units[k]]) + 1,
-                    "pure": bool(ds.pure[k]),
-                    "weights": {
-                        str(int(sample.indices[ds.col_units[j]]) + 1): float(wj)
-                        for j, wj in enumerate(ds.donor_weights[k])
-                        if wj > 0
-                    },
-                }
-                for k in range(ds.n_imputed)
-            ]
+        if ds.donors is not None:
+            report["donors"] = _donor_rows(sample, ds)
         if ds.flight is not None:
             report["flight_steps"] = ds.flight.steps
             report["fractional_cells"] = ds.flight.n_fractional
         if args.explain:
             report["model"] = fit.report_dict()
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"imputed {ds.n_imputed} of {sample.size} units with {ds.method}; wrote {args.out}")
     if ds.method == "ebri" and rel > BALANCE_RTOL:
         raise NumericalFailure(f"balance identity violated: relative error {rel:.3e}")
@@ -221,13 +215,8 @@ def cmd_example(args) -> int:
     print(f"balance target sum d(1-r)sqrt(v) ebar: {target:.2f}")
     print(f"exact balanced imputation (seed {args.seed}):")
     print("unit  donors (unit:weight)      eps*     y*")
-    for k in range(ds.n_imputed):
-        i = ds.row_units[k]
-        parts = [
-            f"{int(ds.col_units[j])+1}:{wj:.2f}"
-            for j, wj in enumerate(ds.donor_weights[k])
-            if wj > 0
-        ]
+    for i, donors, shares in zip(ds.row_units, ds.donors.tolist(), ds.shares.tolist()):
+        parts = [f"{ds.col_units[j] + 1}:{s:.2f}" for j, s in sorted(zip(donors, shares)) if s > 0]
         print(f"{i+1:>4}  {' '.join(parts):<24} {ds.eps_star[i]:6.2f}  {ds.y_star[i]:6.2f}")
     print(f"achieved balance: {achieved:.2f} (relative error {rel:.1e})")
     resp_total = float(th.d[th.respond] @ th.y[th.respond])

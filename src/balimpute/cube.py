@@ -7,7 +7,7 @@ restricted to the still-fractional coordinates is trivial.  At most q
 coordinates remain fractional.  Every step moves along a null vector of the
 restricted matrix to whichever box face it hits, choosing the sign with the
 probability that keeps every coordinate a martingale, snaps coordinates that
-reached a face, and consumes one pre-drawn uniform.
+reached a face, and consumes one uniform.
 
 A problem states its matrix in one of two ways, and each has its own walk.
 
@@ -43,6 +43,15 @@ closed-form null vector, so no step eliminates:
    the others take the one-constraint flight, the last two rows i, j
    stepping along t_i : t_j = c_j : -c_i.  At most one row stays split.
 
+The walk never holds the n_m x n_r cells: it ends with two donors and
+their shares per row, read from the components phase 1 picks and from the
+shares phase 2 moves, and every other cell of the row is 0.  It draws each
+uniform as it takes the step: n_m for phase 1, then one per step of phase
+2, not one per cell.  psi is not snapped to the faces: a donor with psi
+within rounding of 0 is a donor like any other, so the walk balances psi
+itself.  Only a psi of exactly 1 leaves nothing to walk; every row then
+takes that donor whole.
+
 Why this is exact: every component of phase 1 keeps the row sum, 1, and
 the row's residual total, ebar, so each row keeps its purity row and its
 share dv_k ebar of the balance row whichever component it takes; and the
@@ -63,8 +72,8 @@ uniforms.
 
 **Any other matrix** (``BalanceColumns``, or a dense ``a_matrix``) is held
 by column in compressed form, so a problem costs memory in proportion to
-its nonzeros.  The walk reads only the few leading fractional columns each
-step needs:
+its nonzeros.  Its walk draws exactly one uniform per cell up front, and
+reads only the few leading fractional columns each step needs:
 
 1. take the fractional coordinates in ascending index order and read their
    balancing columns one by one, stopping at the first column that depends
@@ -173,6 +182,11 @@ class CellGrid:
             object.__setattr__(self, name, x)
         if self.psi_row.shape != self.residuals.shape:
             raise ValueError("psi_row and residuals must have one entry per donor")
+        psi = self.psi_row
+        # each row holds one unit of donation weight, which the walk splits
+        # over at most two donors
+        if not (np.all((psi >= 0.0) & (psi <= 1.0)) and abs(psi.sum() - 1.0) <= INTEGER_SNAP_TOL):
+            raise ValueError("psi_row must be weights in [0, 1] that sum to 1")
 
     @property
     def n_rows(self) -> int:
@@ -201,26 +215,30 @@ class CellGrid:
 
 @dataclass(frozen=True)
 class BalanceProblem:
-    """Starting point pi0 and its balancing matrix, given as exactly one of
+    """A flight's start and balancing matrix, given as exactly one of
     ``columns``; ``a_matrix``, dense (q rows, M columns), converted to
-    ``columns`` and not kept; or ``grid``, the imputation grid pi0 repeats
-    psi_row over, walked by rows."""
+    ``columns`` and not kept; or ``grid``, the imputation grid, walked by
+    rows.  The first two start at ``pi0``; a grid has no pi0, as each of its
+    rows starts at the grid's psi_row."""
 
-    pi0: npt.NDArray[np.float64]
+    pi0: npt.NDArray[np.float64] | None = None
     a_matrix: InitVar[npt.NDArray[np.float64] | None] = None
     columns: BalanceColumns | None = None
     grid: CellGrid | None = None
 
     def __post_init__(self, a_matrix):
-        pi0 = np.ascontiguousarray(self.pi0, dtype=np.float64)
-        if pi0.ndim != 1:
-            raise ValueError("pi0 must be a vector")
         if (a_matrix is not None) + (self.columns is not None) + (self.grid is not None) != 1:
             raise ValueError("give exactly one of a_matrix, columns and grid")
         if self.grid is not None:
-            if not np.array_equal(pi0, np.tile(self.grid.psi_row, self.grid.n_rows)):
-                raise ValueError("pi0 must repeat the grid's psi_row in every row")
-        elif a_matrix is not None:
+            if self.pi0 is not None:
+                raise ValueError("a grid starts at its psi_row: give no pi0")
+            return
+        if self.pi0 is None:
+            raise ValueError("pi0 is required with a_matrix or columns")
+        pi0 = np.ascontiguousarray(self.pi0, dtype=np.float64)
+        if pi0.ndim != 1:
+            raise ValueError("pi0 must be a vector")
+        if a_matrix is not None:
             a = np.ascontiguousarray(a_matrix, dtype=np.float64)
             if a.ndim != 2 or a.shape[1] != pi0.shape[0]:
                 raise ValueError("a_matrix must be (q, len(pi0))")
@@ -233,6 +251,8 @@ class BalanceProblem:
 
     @property
     def n_cells(self) -> int:
+        if self.grid is not None:
+            return self.grid.n_rows * self.grid.n_donors
         return self.pi0.shape[0]
 
     @property
@@ -247,13 +267,26 @@ del BalanceProblem.a_matrix
 
 @dataclass(frozen=True)
 class FlightResult:
-    itilde: npt.NDArray[np.float64]
-    fractional: npt.NDArray[np.bool_]
+    """Where a flight ended.  On a grid, row by row: row k holds
+    ``shares[k]`` at the donors ``donors[k]``, two per row, and 0 in every
+    other cell; a pure row holds its donor at share 1 beside a share 0, and
+    one-point rows name that donor twice.  On any other problem ``itilde``
+    holds every cell."""
+
     steps: int
+    itilde: npt.NDArray[np.float64] | None = None
+    donors: npt.NDArray[np.int64] | None = None
+    shares: npt.NDArray[np.float64] | None = None
+
+    @property
+    def fractional(self) -> npt.NDArray[np.bool_]:
+        """Where ``itilde``, or on a grid ``shares``, lies strictly inside (0, 1)."""
+        x = self.shares if self.itilde is None else self.itilde
+        return (x > 0.0) & (x < 1.0)
 
     @property
     def n_fractional(self) -> int:
-        return int(self.fractional.sum())
+        return int(np.count_nonzero(self.fractional))
 
 
 def _step(x, window, u, t, guard):
@@ -309,8 +342,8 @@ def _snapped(pi: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
 
 
 def _splitting(psi: npt.NDArray[np.float64], e: npt.NDArray[np.float64]):
-    """Phase 1's decomposition of the module docstring: the snapped psi on
-    its free donors as a mixture of one- and two-point measures, each with
+    """Phase 1's decomposition of the module docstring: psi on its free
+    donors as a mixture of one- and two-point measures, each with
     mean ebar.  Returns, per component, its donors lo and hi, their values
     x_lo and x_hi, and its weight; a one-point component at donor l has
     lo = hi = l, x_lo = 0 and x_hi = 1.  The weights sum to the free mass
@@ -373,36 +406,37 @@ def _splitting(psi: npt.NDArray[np.float64], e: npt.NDArray[np.float64]):
             np.concatenate((w, t / p + t / q)))
 
 
-def _grid_walk(grid: CellGrid, u: npt.NDArray[np.float64]) -> tuple[npt.NDArray[np.float64], int]:
-    """The two-phase walk of the module docstring; returns the cells in
-    row-major order and the step count, one per uniform used."""
+def _grid_walk(grid: CellGrid, rng: np.random.Generator):
+    """The two-phase walk of the module docstring.  Returns each row's two
+    donors and their shares, (n_m, 2) each, and the step count; draws one
+    uniform per step from rng."""
     guard = DIRECTION_GUARD
     n_m = grid.n_rows
-    start = _snapped(grid.psi_row)
-    lo, hi, x_lo, x_hi, w = _splitting(start, grid.residuals)
-    x = np.tile(np.where((start > 0.0) & (start < 1.0), 0.0, start), (n_m, 1))
-    if w.size == 0:
-        return x.ravel(), 0
+    psi, e = grid.psi_row, grid.residuals
+    whole = np.flatnonzero(psi == 1.0)
+    if whole.size:  # one donor holds all of psi, and any other entry is rounding
+        return np.full((n_m, 2), whole[0]), np.tile([0.0, 1.0], (n_m, 1)), 0
+    lo, hi, x_lo, x_hi, w = _splitting(psi, e)
 
     # phase 1: row k takes component pick[k] with probability w / sum(w)
     cum = np.cumsum(w)
-    pick = np.minimum(np.searchsorted(cum, u[:n_m] * cum[-1], side="right"), w.size - 1)
-    rows = np.arange(n_m)
-    x[rows, lo[pick]] = x_lo[pick]
-    x[rows, hi[pick]] = x_hi[pick]
+    pick = np.minimum(np.searchsorted(cum, rng.random(n_m) * cum[-1], side="right"),
+                      w.size - 1)
+    donors = np.column_stack((lo[pick], hi[pick]))
+    shares = np.column_stack((x_lo[pick], x_hi[pick]))
     t = n_m
 
     # phase 2: one constraint, sum_k c_k x_ka, over the split rows; split
     # row i holds its two cells at 2i and 2i + 1 of xs
-    rows = rows[(x_lo[pick] > 0.0) & (x_lo[pick] < 1.0)]
-    a, b = lo[pick[rows]], hi[pick[rows]]
-    xs = np.column_stack((x[rows, a], x[rows, b])).ravel().tolist()
-    c = (grid.dv[rows] * (grid.residuals[a] - grid.residuals[b])).tolist()
-    u = u[:n_m + len(c)].tolist()
+    rows = np.flatnonzero((shares[:, 0] > 0.0) & (shares[:, 0] < 1.0))
+    xs = shares[rows].ravel().tolist()
+    c = (grid.dv[rows] * (e[donors[rows, 0]] - e[donors[rows, 1]])).tolist()
+    uniform = rng.random
     pairs = []
     for i, c_k in enumerate(c):
         if c_k == 0.0:
-            _step(xs, ((2 * i, xs[2 * i], 1.0), (2 * i + 1, xs[2 * i + 1], -1.0)), u[t], t, guard)
+            _step(xs, ((2 * i, xs[2 * i], 1.0), (2 * i + 1, xs[2 * i + 1], -1.0)), uniform(),
+                  t, guard)
             t += 1
         else:
             pairs.append((2 * i, 2 * i + 1, c_k))
@@ -410,13 +444,11 @@ def _grid_walk(grid: CellGrid, u: npt.NDArray[np.float64]) -> tuple[npt.NDArray[
         (a_i, b_i, c_i), (a_j, b_j, c_j) = pairs[-2:]
         kept = _step(xs, ((a_i, xs[a_i], c_j), (b_i, xs[b_i], -c_j),
                           (a_j, xs[a_j], -c_i), (b_j, xs[b_j], c_i)),
-                     u[t], t, guard * max(abs(c_i), abs(c_j)))
+                     uniform(), t, guard * max(abs(c_i), abs(c_j)))
         t += 1
         pairs[-2:] = [p for p in pairs[-2:] if p[0] in kept and p[1] in kept]
-    xs = np.array(xs).reshape(-1, 2)
-    x[rows, a] = xs[:, 0]
-    x[rows, b] = xs[:, 1]
-    return x.ravel(), t
+    shares[rows] = np.array(xs).reshape(-1, 2)
+    return donors, shares, t
 
 
 def _swap_rows(col, i, j):
@@ -501,19 +533,20 @@ def _column_walk(a: BalanceColumns, pi: npt.NDArray[np.float64],
 
 
 def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightResult:
-    """Run the flight phase; consumes exactly n_cells uniforms from rng.
+    """Run the flight phase.  Raises FlightPhaseError when a step has a
+    degenerate length or fixes no coordinate.
 
-    The uniform draws are taken up front so the generator state after the
-    call does not depend on the number of steps, which is at most n_cells:
-    every step of the general walk fixes a cell, and the grid walk uses one
-    uniform per row and one per split row at most, no uniform when no donor
-    is free and no split row when only one is.  Raises FlightPhaseError
-    when a step has a degenerate length or fixes no coordinate.
+    On a grid the walk draws one uniform per step as it goes: n_m for phase
+    1, then one per step of phase 2, so ``steps`` in all and none when one
+    donor holds all of psi.  These are the doubles a single draw of that
+    many would give.  On any other problem exactly n_cells uniforms are
+    drawn up front, so the generator state after the call does not depend
+    on the number of steps, which is at most n_cells because every step
+    fixes a cell.
     """
-    u = rng.random(problem.n_cells)
     if problem.grid is not None:
-        itilde, steps = _grid_walk(problem.grid, u)
-    else:
-        x, steps = _column_walk(problem.columns, _snapped(problem.pi0), u.tolist())
-        itilde = np.array(x, dtype=np.float64)
-    return FlightResult(itilde=itilde, fractional=(itilde > 0.0) & (itilde < 1.0), steps=steps)
+        donors, shares, steps = _grid_walk(problem.grid, rng)
+        return FlightResult(steps=steps, donors=donors, shares=shares)
+    x, steps = _column_walk(problem.columns, _snapped(problem.pi0),
+                            rng.random(problem.n_cells).tolist())
+    return FlightResult(steps=steps, itilde=np.array(x, dtype=np.float64))

@@ -225,7 +225,8 @@ def _replicate_estimates(population, n, mechanism, methods, t_alpha, seed, ip, i
     RejectiveDesign, or None for simple random sampling.  Returns
     {(method, estimand): value}; estimands are 'total' and
     'df@{alpha index}'.  The rng order is fixed (sample, response, rri, ebri)
-    so all methods see the same sample and response set.
+    so all methods see the same sample and response set: ``methods`` are
+    run in METHODS order, whatever order they are listed in.
     """
     z1, y, v, design = population
     n_population = z1.size
@@ -244,7 +245,7 @@ def _replicate_estimates(population, n, mechanism, methods, t_alpha, seed, ip, i
 
     out = {}
     z_s = z1_s[:, None]
-    for method in methods:
+    for method in (m for m in METHODS if m in methods):
         if method == "dri":
             ds = impute_dri(fit, z_s, y_s, v_s)
         elif method == "rri":

@@ -15,9 +15,11 @@ and they differ only in the imputed standardized residual eps*_k:
   one purity variable per nonrespondent row.
 
 The purity variables force every row of itilde to sum to 1, so each
-nonrespondent receives either a single donor residual or a convex mix, and
-the balancing row makes the realized imputation contribution equal its
-conditional expectation exactly.
+nonrespondent receives either a single donor residual or a convex mix of
+two, and the balancing row makes the realized imputation contribution equal
+its conditional expectation exactly.  The flight returns only those one or
+two donors per row, so eps*_k = x_a e_a + x_b e_b is formed without the
+n_m x n_r grid.
 """
 
 from dataclasses import dataclass
@@ -29,15 +31,15 @@ from .cube import BalanceProblem, CellGrid, FlightResult, flight_phase
 from .regression import FittedModel, NoRespondentsError
 
 MAR_CALIBRATION_TOL = 1e-6
-# largest nonrespondent x donor grid impute_ebri walks: 8x the 500 x 500
-# grid of benchmarks/bench_flight_phase.py.  A 1,400 x 1,400 grid peaked at
-# 51 MB under tracemalloc; without purity variables the general kernel
-# holds several times that
+# largest nonrespondent x donor grid impute_ebri walks without purity
+# variables, where the general kernel holds every cell: 8x the 500 x 500
+# grid of benchmarks/bench_flight_phase.py.  The grid walk holds two donors
+# per row and needs no cap
 MAX_GRID_CELLS = 2_000_000
 
 
 class GridTooLargeError(ValueError):
-    """The ebri cell grid exceeds MAX_GRID_CELLS."""
+    """The ebri cell grid without purity variables exceeds MAX_GRID_CELLS."""
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +163,15 @@ def build_cells(
     balancing variables come already divided by psi: dv_k e_l in the
     balance row (dv_k = d_k v_k^{1/2}) and, with purity variables on, the
     indicator of row k.  That problem is returned as its grid, which the
-    flight walks row by row and never builds a matrix for; without purity
-    variables it is the one balance row, by column.
+    flight walks row by row and never builds a cell array or a matrix for;
+    without purity variables it is the one balance row, by column, from
+    the start pi0 that repeats psi_row in every row.
     """
     grid = CellGrid(psi_row, residuals, dv)
-    pi0 = np.tile(grid.psi_row, grid.n_rows)
     if with_purity_vars:
-        return BalanceProblem(pi0=pi0, grid=grid)
-    return BalanceProblem(pi0=pi0, columns=grid.columns(with_purity_vars=False))
+        return BalanceProblem(grid=grid)
+    return BalanceProblem(pi0=np.tile(grid.psi_row, grid.n_rows),
+                          columns=grid.columns(with_purity_vars=False))
 
 
 @dataclass(frozen=True)
@@ -176,8 +179,14 @@ class ImputedDataset:
     """Outcome of one imputation pass over a drawn sample.
 
     ``y_star`` keeps observed values at respondents and carries the imputed
-    value z'beta + sqrt(v) eps_star at nonrespondents.  ``donor_weights`` is
-    the (n_m, n_r) selection grid where the method has one (None for dri);
+    value z'beta + sqrt(v) eps_star at nonrespondents.  Where the method
+    selects donors (not dri), ``donors`` and ``shares``, both n_m x w, hold
+    that selection row by row: nonrespondent row k takes share
+    ``shares[k, j]`` of the residual of donor ``col_units[donors[k, j]]``,
+    so eps_star at the row is sum_j shares[k, j] e[donors[k, j]].  A share
+    of 0 adds nothing, and its donor may repeat one the row names already.
+    rri has w = 1.  ebri has w = 2, the two donors a row of the grid walk
+    ends on; without purity variables w is the most donors any row took.
     ``pure`` flags nonrespondent rows served by a single donor.
     """
 
@@ -187,7 +196,8 @@ class ImputedDataset:
     respond: npt.NDArray[np.bool_]
     row_units: npt.NDArray[np.int64]
     col_units: npt.NDArray[np.int64]
-    donor_weights: npt.NDArray[np.float64] | None = None
+    donors: npt.NDArray[np.int64] | None = None
+    shares: npt.NDArray[np.float64] | None = None
     pure: npt.NDArray[np.bool_] | None = None
     flight: FlightResult | None = None
 
@@ -196,9 +206,10 @@ class ImputedDataset:
         return self.row_units.shape[0]
 
 
-def _imputed(method, model, z, y, v, rows, cols, eps_rows, **grid) -> ImputedDataset:
+def _imputed(method, model, z, y, v, rows, cols, eps_rows, **selection) -> ImputedDataset:
     """The dataset with y* = z'beta + sqrt(v) eps* at the nonrespondent
-    ``rows``; ``grid`` holds the method's donor_weights, pure and flight."""
+    ``rows``; ``selection`` holds the method's donors, shares, pure and
+    flight."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
         z = z[:, None]
@@ -209,7 +220,7 @@ def _imputed(method, model, z, y, v, rows, cols, eps_rows, **grid) -> ImputedDat
     eps_star[rows] = eps_rows
     y_star[rows] = mu[rows] + np.sqrt(v[rows]) * eps_rows
     return ImputedDataset(method=method, y_star=y_star, eps_star=eps_star,
-                          respond=model.respond, row_units=rows, col_units=cols, **grid)
+                          respond=model.respond, row_units=rows, col_units=cols, **selection)
 
 
 def impute_dri(model: FittedModel, z, y, v) -> ImputedDataset:
@@ -224,10 +235,9 @@ def impute_rri(model: FittedModel, z, y, v, rng: np.random.Generator) -> Imputed
     n_m, n_r = rows.size, cols.size
     picks = (rng.choice(n_r, size=n_m, p=model.omega_tilde[cols]) if n_m
              else np.empty(0, dtype=np.int64))
-    weights = np.zeros((n_m, n_r))
-    weights[np.arange(n_m), picks] = 1.0
     return _imputed("rri", model, z, y, v, rows, cols, model.residuals[cols][picks],
-                    donor_weights=weights, pure=np.ones(n_m, dtype=bool))
+                    donors=picks[:, None], shares=np.ones((n_m, 1)),
+                    pure=np.ones(n_m, dtype=bool))
 
 
 def impute_ebri(
@@ -240,14 +250,15 @@ def impute_ebri(
     with_purity_vars: bool = True,
 ) -> ImputedDataset:
     """Exact balanced random imputation via one flight phase over the cells.
-    Raises GridTooLargeError, before allocating the grid, when it would have
-    more than MAX_GRID_CELLS cells."""
+    Without purity variables, raises GridTooLargeError, before allocating
+    the grid, when it would have more than MAX_GRID_CELLS cells."""
     rows, cols = _donor_split(model.respond)
-    if rows.size * cols.size > MAX_GRID_CELLS:
+    n_m, n_r = rows.size, cols.size
+    if not with_purity_vars and n_m * n_r > MAX_GRID_CELLS:
         raise GridTooLargeError(
-            f"{rows.size} nonrespondents x {cols.size} donors = {rows.size * cols.size} cells, "
-            f"above the limit of {MAX_GRID_CELLS}")
-    if rows.size == 0:
+            f"{n_m} nonrespondents x {n_r} donors = {n_m * n_r} cells, "
+            f"above the limit of {MAX_GRID_CELLS} without purity variables")
+    if n_m == 0:
         return _imputed("ebri", model, z, y, v, rows, cols, np.zeros(0))
     v = np.asarray(v, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -255,7 +266,17 @@ def impute_ebri(
     problem = build_cells(model.omega_tilde[cols], residuals, d[rows] * np.sqrt(v[rows]),
                           with_purity_vars=with_purity_vars)
     flight = flight_phase(problem, rng)
-    itilde = flight.itilde.reshape(rows.size, cols.size)
-    pure = ~flight.fractional.reshape(rows.size, cols.size).any(axis=1)
-    return _imputed("ebri", model, z, y, v, rows, cols, itilde @ residuals,
-                    donor_weights=itilde, pure=pure, flight=flight)
+    if flight.itilde is None:
+        donors, shares = flight.donors, flight.shares
+    else:
+        # one balance row lets a row take any number of donors: list each
+        # row's in ascending column order, padded to the widest with shares 0
+        itilde = flight.itilde.reshape(n_m, n_r)
+        width = max(int(np.count_nonzero(itilde, axis=1).max()), 1)
+        donors = np.argsort(itilde == 0.0, axis=1, kind="stable")[:, :width]
+        shares = np.take_along_axis(itilde, donors, axis=1)
+    # x_a e_a + x_b e_b on a grid row: each share times its residual, summed
+    eps_rows = (shares * residuals[donors]).sum(axis=1)
+    pure = ~((shares > 0.0) & (shares < 1.0)).any(axis=1)
+    return _imputed("ebri", model, z, y, v, rows, cols, eps_rows, donors=donors,
+                    shares=shares, pure=pure, flight=flight)

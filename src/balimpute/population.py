@@ -73,6 +73,9 @@ class PopulationRecipe:
         if self.target_r2 is not None and not 0 < self.target_r2 < 1:
             raise ValueError("target_r2 must be in (0, 1)")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        if len(self.beta) != 1:
+            raise ValueError(f"beta must hold one slope, on z1, the only auxiliary; "
+                             f"got {len(self.beta)} entries")
 
     def noise_variance(self) -> float:
         """sigma^2, derived from target_r2 when that is what was given."""
@@ -176,12 +179,12 @@ def population_to_csv(pop: Population, path, missing: npt.NDArray[np.bool_] | No
     """Columns (id, y, z1, v, missing); floats use shortest round-trip repr."""
     if missing is None:
         missing = np.zeros(pop.size, dtype=bool)
+    columns = (range(1, pop.size + 1), pop.y.tolist(), pop.z1.tolist(), pop.v.tolist(),
+               np.asarray(missing, dtype=np.int64).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(POPULATION_FIELDS)
-        for i in range(pop.size):
-            w.writerow([i + 1, repr(float(pop.y[i])), repr(float(pop.z1[i])),
-                        repr(float(pop.v[i])), int(missing[i])])
+        w.writerows(zip(*columns))
 
 
 def population_from_csv(path) -> tuple[Population, npt.NDArray[np.bool_]]:

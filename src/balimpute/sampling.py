@@ -221,14 +221,14 @@ def sample_to_csv(
 ) -> None:
     """Columns (id, y, z1, v, pi, d, r); y is left empty where missing."""
     respond = sample.respond if sample.respond is not None else np.isfinite(y)
+    respond = np.asarray(respond, dtype=np.int64).tolist()
+    y = [yv if r else "" for yv, r in zip(np.asarray(y, dtype=np.float64).tolist(), respond)]
+    columns = [(sample.indices + 1).tolist(), y] + [
+        np.asarray(x, dtype=np.float64).tolist() for x in (z1, v, sample.pi, sample.d)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(SAMPLE_FIELDS)
-        for i in range(sample.size):
-            yv = "" if not respond[i] else repr(float(y[i]))
-            w.writerow([int(sample.indices[i]) + 1, yv, repr(float(z1[i])),
-                        repr(float(v[i])), repr(float(sample.pi[i])),
-                        repr(float(sample.d[i])), int(respond[i])])
+        w.writerows(zip(*columns, respond))
 
 
 def sample_from_csv(path):

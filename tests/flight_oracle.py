@@ -8,7 +8,9 @@ of the status codes below.  ``kernel_basis`` is the full restricted
 null-space basis by the same elimination.  Both are kept verbatim as
 oracles: ``flight_phase`` must reproduce ``_flight_numpy`` bit for bit, and
 the window argument it relies on is checked against ``kernel_basis``.
-``dense`` expands a compressed-column matrix for them.
+``dense`` expands a compressed-column matrix for them, and ``grid_cells``
+the row-sparse end point of a grid walk or donor selection for the tests
+that read cells.
 """
 
 import numpy as np
@@ -28,6 +30,15 @@ def dense(columns):
     owner = np.repeat(np.arange(columns.n_cols), np.diff(columns.col_ptr))
     a[columns.row_idx, owner] = columns.values
     return a
+
+
+def grid_cells(donors, shares, n_donors):
+    """The n_m x n_donors cells of a row-sparse selection: row k holds
+    ``shares[k, j]`` at column ``donors[k, j]`` and 0 elsewhere."""
+    n_m, width = donors.shape
+    x = np.zeros((n_m, n_donors))
+    np.add.at(x, (np.repeat(np.arange(n_m), width), donors.ravel()), shares.ravel())
+    return x
 
 
 def _flight_numpy(pi, a, u, eps_int, pivot_rtol, lam_guard, record, history):

@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.stats
+from flight_oracle import grid_cells
 
 from balimpute.cli import main as cli_main
 from balimpute.cube import BalanceProblem, flight_phase
@@ -189,11 +190,12 @@ def test_criterion_3_grid_walk_statistics():
     draws = np.empty((reps, n_m * n_r))
     for i in range(reps):
         res = flight_phase(problem, rng)
-        draws[i] = res.itilde
-        assert abs(a0 @ res.itilde - a0 @ pi0) <= 1e-12 * (np.abs(a0) @ pi0)
-        grid = res.itilde.reshape(n_m, n_r)
+        itilde = grid_cells(res.donors, res.shares, n_r).ravel()
+        draws[i] = itilde
+        assert abs(a0 @ itilde - a0 @ pi0) <= 1e-12 * (np.abs(a0) @ pi0)
+        grid = itilde.reshape(n_m, n_r)
         assert np.max(np.abs(grid.sum(axis=1) - 1.0)) < 1e-9
-        assert res.fractional.reshape(n_m, n_r).any(axis=1).sum() <= 1
+        assert ((grid > 0.0) & (grid < 1.0)).any(axis=1).sum() <= 1
 
     mean = draws.mean(axis=0)
     sd = draws.std(axis=0, ddof=1)
@@ -385,7 +387,7 @@ def test_criterion_7_sampling_and_donor_oracles():
     reps_rri = 20_000
     for _ in range(reps_rri):
         ds = impute_rri(fit, th.z1[:, None], th.y, th.z1, rng)
-        picks += ds.donor_weights.sum(axis=0)
+        picks += grid_cells(ds.donors, ds.shares, 6).sum(axis=0)
     expected = np.full(6, 4 * reps_rri / 6)
     chi2 = float(((picks - expected) ** 2 / expected).sum())
     critical = scipy.stats.chi2.ppf(0.999, df=5)

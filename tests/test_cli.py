@@ -150,17 +150,28 @@ def test_impute_without_respondents_is_bad_input(tmp_path, capsys):
 
 @pytest.mark.parametrize("cap, code", [(23, 2), (24, 0)])
 def test_impute_ebri_grid_cap(tmp_path, capsys, monkeypatch, cap, code):
-    # the Thompson sample's grid is 4 nonrespondents x 6 donors = 24 cells
+    # the Thompson sample's grid is 4 nonrespondents x 6 donors = 24 cells;
+    # only the general kernel, without purity variables, holds them all
     monkeypatch.setattr(imputation, "MAX_GRID_CELLS", cap)
     src = tmp_path / "s.csv"
     write_thompson_csv(src)
     out = tmp_path / "x.csv"
     got, _, err = run(capsys, "impute", "--input", str(src), "--method", "ebri",
-                      "--seed", "1", "--out", str(out))
+                      "--seed", "1", "--no-purity-vars", "--out", str(out))
     assert got == code
     assert out.exists() == (code == 0)
     if code:
-        assert "24 cells, above the limit of 23" in err
+        assert "24 cells, above the limit of 23 without purity variables" in err
+
+
+def test_impute_ebri_grid_walk_has_no_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(imputation, "MAX_GRID_CELLS", 0)
+    src = tmp_path / "s.csv"
+    write_thompson_csv(src)
+    out = tmp_path / "x.csv"
+    got, _, _ = run(capsys, "impute", "--input", str(src), "--method", "ebri",
+                    "--seed", "1", "--out", str(out))
+    assert got == 0 and out.exists()
 
 
 def test_simulate_missing_config(tmp_path, capsys):
@@ -199,6 +210,26 @@ def test_simulate_dry_run_touches_nothing(tmp_path, capsys):
     resolved = json.loads(out)
     assert resolved["seed"] == 5
     assert resolved["replications"] == 2
+
+
+def test_beta_of_two_entries_is_bad_input(tmp_path, capsys):
+    pop = {"n_units": 200, "beta": [1, 5], "target_r2": 0.36}
+    recipe = tmp_path / "r.json"
+    recipe.write_text(json.dumps(pop))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "seed": 5, "populations": [pop], "mechanisms": [{"kind": "mcar", "level": 0.5}],
+        "replications": 2, "sample_size": 10,
+    }))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "res"), "--dry-run")
+    assert code == 2 and out == ""
+    assert "one slope" in err
+    code, _, err = run(capsys, "generate", "--recipe", str(recipe), "--seed", "1",
+                       "--out", str(tmp_path / "pop.csv"))
+    assert code == 2
+    assert "one slope" in err
+    assert not (tmp_path / "pop.csv").exists()
 
 
 @pytest.mark.parametrize("override", [

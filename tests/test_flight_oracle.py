@@ -61,7 +61,7 @@ def grid_problem(n_m, n_r, seed, with_purity_vars=True, residuals=None):
     if with_purity_vars:
         np.testing.assert_array_equal(dense(problem.grid.columns()), a)
         # the general kernel on the grid's matrix, not the grid walk
-        return BalanceProblem(pi0=problem.pi0, a_matrix=a)
+        return BalanceProblem(pi0=np.tile(problem.grid.psi_row, n_m), a_matrix=a)
     np.testing.assert_array_equal(dense(problem.columns), a)
     return problem
 

@@ -1,0 +1,117 @@
+"""Seeded outputs pinned byte for byte.
+
+Refactors of the flight, the imputed dataset and the CLI writers must not
+move these: ``example``'s stdout at two seeds, the donor selection and
+flight diagnostics of a seeded ``impute --method ebri`` report on an
+n = 300 sample, and the seeded ``rri`` imputed CSV.  The ebri report's
+donors, steps and fractional cells depend only on the flight's trajectory,
+not on how the split row's residual mix is rounded, so they are pinned
+exactly.  The sample is drawn with numpy alone, so the pins do not depend
+on the package's population generator or sampler.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from balimpute.cli import main
+from balimpute.sampling import SampleData, sample_to_csv
+
+EXAMPLE_1234 = """\
+money-guess sample: N=53, n=10, d=5.3 for every unit
+ratio-model fit on 6 respondents: b = 0.94
+unit  z1      y       residual
+   1    8.35    8.75     0.30
+   2    1.50    2.55     0.93
+   3   10.00    9.00    -0.14
+   4    0.60    1.10     0.69
+   5    7.50    7.50     0.15
+   6    7.95    5.00    -0.89
+   7    0.95       -        -
+   8    4.40       -        -
+   9    1.00       -        -
+  10    0.50       -        -
+donation-weighted mean residual: 0.1728
+balance target sum d(1-r)sqrt(v) ebar: 4.38
+exact balanced imputation (seed 1234):
+unit  donors (unit:weight)      eps*     y*
+   7  2:0.70 6:0.30              0.38    1.27
+   8  4:1.00                     0.69    5.60
+   9  6:1.00                    -0.89    0.06
+  10  3:1.00                    -0.14    0.37
+achieved balance: 4.38 (relative error 2.0e-16)
+respondent-only part of the total: 179.67
+imputed total: 218.33
+"""
+
+EXAMPLE_7 = """\
+money-guess sample: N=53, n=10, d=5.3 for every unit
+ratio-model fit on 6 respondents: b = 0.94
+unit  z1      y       residual
+   1    8.35    8.75     0.30
+   2    1.50    2.55     0.93
+   3   10.00    9.00    -0.14
+   4    0.60    1.10     0.69
+   5    7.50    7.50     0.15
+   6    7.95    5.00    -0.89
+   7    0.95       -        -
+   8    4.40       -        -
+   9    1.00       -        -
+  10    0.50       -        -
+donation-weighted mean residual: 0.1728
+balance target sum d(1-r)sqrt(v) ebar: 4.38
+exact balanced imputation (seed 7):
+unit  donors (unit:weight)      eps*     y*
+   7  4:1.00                     0.69    1.57
+   8  2:0.23 6:0.77             -0.47    3.17
+   9  2:1.00                     0.93    1.87
+  10  1:1.00                     0.30    0.68
+achieved balance: 4.38 (relative error 2.0e-16)
+respondent-only part of the total: 179.67
+imputed total: 218.33
+"""
+
+EBRI_SELECTION_SHA256 = "06b3a2797326acd5cfff6723750078604c03cbf451c8f9406a8b47f8bd3c655e"
+RRI_CSV_SHA256 = "d3f16bfdcc5b68b0815f6d8376fa639b0b616523519cc088e5906b6a97d0d7aa"
+
+
+def write_sample_300(path):
+    """A 300-unit sample, 152 respondents, with unequal weights."""
+    rng = np.random.default_rng(20_161_018)
+    n = 300
+    z1 = rng.gamma(2.0, 5.0, n)
+    y = z1 + np.sqrt(z1) * rng.normal(0.0, 3.0, n)
+    pi = rng.uniform(0.01, 0.05, n)
+    respond = rng.random(n) < 0.55
+    sample = SampleData(indices=np.sort(rng.choice(100_000, n, replace=False)), pi=pi,
+                        d=1.0 / pi, respond=respond)
+    sample_to_csv(path, sample, y, z1, z1)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_example_stdout_pinned(capsys):
+    for seed, expected in (("1234", EXAMPLE_1234), ("7", EXAMPLE_7)):
+        assert main(["example", "--seed", seed]) == 0
+        assert capsys.readouterr().out == expected, seed
+
+
+def test_impute_selection_and_rri_csv_pinned(tmp_path, capsys):
+    src = tmp_path / "s.csv"
+    write_sample_300(src)
+    out, rep = tmp_path / "ebri.csv", tmp_path / "ebri.json"
+    assert main(["impute", "--input", str(src), "--method", "ebri", "--seed", "1101",
+                 "--out", str(out), "--report", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    selection = {k: report[k] for k in ("donors", "flight_steps", "fractional_cells")}
+    assert len(selection["donors"]) == 148
+    assert sha256(json.dumps(selection, sort_keys=True).encode()) == EBRI_SELECTION_SHA256
+
+    out = tmp_path / "rri.csv"
+    assert main(["impute", "--input", str(src), "--method", "rri", "--seed", "1102",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sha256(out.read_bytes()) == RRI_CSV_SHA256

@@ -8,6 +8,7 @@ a martingale, the balance row exact, unit row sums and at most one split row.
 
 import numpy as np
 import pytest
+from flight_oracle import grid_cells
 
 from balimpute import cube
 from balimpute.cube import BalanceProblem, CellGrid, FlightPhaseError, flight_phase
@@ -30,13 +31,15 @@ def check_invariants(problem, res):
     between two donors; returns the split row count."""
     g = problem.grid
     n_m, n_r = g.n_rows, g.n_donors
+    pi0 = np.tile(g.psi_row, n_m)
+    itilde = grid_cells(res.donors, res.shares, n_r).ravel()
     a0 = np.outer(g.dv, g.residuals).ravel()
-    scale = max(np.abs(a0) @ problem.pi0, 1e-300)
-    assert abs(a0 @ res.itilde - a0 @ problem.pi0) <= 1e-12 * scale
-    grid = res.itilde.reshape(n_m, n_r)
+    scale = max(np.abs(a0) @ pi0, 1e-300)
+    assert abs(a0 @ itilde - a0 @ pi0) <= 1e-12 * scale
+    grid = itilde.reshape(n_m, n_r)
     assert np.max(np.abs(grid.sum(axis=1) - 1.0)) <= 1e-12
-    assert np.all((res.itilde >= 0.0) & (res.itilde <= 1.0))
-    frac = res.fractional.reshape(n_m, n_r)
+    assert np.all((itilde >= 0.0) & (itilde <= 1.0))
+    frac = (grid > 0.0) & (grid < 1.0)
     split = np.flatnonzero(frac.any(axis=1))
     assert split.size <= 1
     for k in split:
@@ -47,10 +50,12 @@ def check_invariants(problem, res):
 
 def test_grid_problem_validation():
     grid = CellGrid(np.full(3, 1 / 3), np.arange(3.0), np.ones(2))
-    with pytest.raises(ValueError, match="repeat"):
-        BalanceProblem(pi0=np.full(5, 1 / 3), grid=grid)
-    with pytest.raises(ValueError, match="repeat"):
-        BalanceProblem(pi0=np.array([0.5, 0.25, 0.25] * 2), grid=grid)
+    with pytest.raises(ValueError, match="give no pi0"):
+        BalanceProblem(pi0=np.full(6, 1 / 3), grid=grid)
+    with pytest.raises(ValueError, match="sum to 1"):
+        CellGrid(np.full(3, 0.3), np.arange(3.0), np.ones(2))
+    with pytest.raises(ValueError, match="sum to 1"):
+        CellGrid(np.array([1.5, -0.5]), np.arange(2.0), np.ones(2))
     with pytest.raises(ValueError, match="exactly one"):
         BalanceProblem(pi0=np.full(6, 1 / 3), columns=grid.columns(), grid=grid)
     with pytest.raises(ValueError, match="one entry per donor"):
@@ -72,6 +77,19 @@ def test_grid_walk_invariants_every_run():
     assert split_runs > 0  # splitting does happen; the bound is not vacuous
 
 
+def test_grid_walk_balances_unsnapped_start():
+    # Dirichlet(0.3) donation weights put some psi within 1e-9 of 0 or 1; the
+    # walk must balance that psi itself, not a start snapped to the faces
+    rng = np.random.default_rng(77)
+    for case in range(600):
+        n_m = int(rng.integers(1, 13))
+        n_r = int(rng.integers(1, 16))
+        psi_row = rng.dirichlet(np.full(n_r, 0.3))
+        problem = build_cells(psi_row, rng.standard_normal(n_r), rng.uniform(1.0, 9.0, n_m))
+        for seed in range(3):
+            check_invariants(problem, flight_phase(problem, np.random.default_rng(seed)))
+
+
 def test_grid_walk_martingale():
     # t-statistics of every cell's mean against pi0, ties and a zero
     # residual included, as criterion 3 does for the general kernel
@@ -83,11 +101,12 @@ def test_grid_walk_martingale():
     reps = 6000
     draws = np.empty((reps, n_m * n_r))
     for i in range(reps):
-        draws[i] = flight_phase(problem, rng).itilde
+        res = flight_phase(problem, rng)
+        draws[i] = grid_cells(res.donors, res.shares, n_r).ravel()
     mean = draws.mean(axis=0)
     sd = draws.std(axis=0, ddof=1)
     assert np.all(sd > 0.0)
-    t_stat = np.abs(mean - problem.pi0) / (sd / np.sqrt(reps))
+    t_stat = np.abs(mean - np.tile(psi_row, n_m)) / (sd / np.sqrt(reps))
     assert np.all(t_stat < 4.0), t_stat
 
 
@@ -99,7 +118,7 @@ def test_grid_walk_all_equal_residuals_leaves_every_row_pure():
     for seed in range(50):
         res = flight_phase(problem, np.random.default_rng(seed))
         assert check_invariants(problem, res) == 0
-        assert set(res.itilde) == {0.0, 1.0}
+        assert set(grid_cells(res.donors, res.shares, 5).ravel()) == {0.0, 1.0}
 
 
 def test_grid_walk_zero_residuals_and_tied_pairs():
@@ -115,16 +134,22 @@ def test_grid_walk_single_donor_is_a_fixed_point():
     problem = build_cells(np.array([1.0]), np.array([0.3]), np.array([2.0, 5.0]))
     res = flight_phase(problem, np.random.default_rng(0))
     assert res.steps == 0
-    np.testing.assert_array_equal(res.itilde, np.ones(2))
+    np.testing.assert_array_equal(grid_cells(res.donors, res.shares, 1).ravel(), np.ones(2))
+    # psi of exactly 1 beside a rounding-sized weight: that donor, whole
+    problem = build_cells(np.array([1e-17, 1.0]), np.array([0.3, -0.2]), np.array([2.0, 5.0]))
+    res = flight_phase(problem, np.random.default_rng(0))
+    assert res.steps == 0
+    np.testing.assert_array_equal(grid_cells(res.donors, res.shares, 2), [[0.0, 1.0]] * 2)
 
 
-def test_grid_walk_rng_consumption_is_n_cells():
+def test_grid_walk_rng_consumption_is_one_per_step():
+    # n_m uniforms for phase 1, then one per phase-2 step as it is taken
     problem = build_cells(*random_grid(np.random.default_rng(74), 7, 9))
     rng1 = np.random.default_rng(75)
     res = flight_phase(problem, rng1)
-    assert 0 < res.steps < problem.n_cells
+    assert 7 < res.steps < problem.n_cells
     rng2 = np.random.default_rng(75)
-    rng2.random(problem.n_cells)
+    rng2.random(res.steps)
     assert rng1.bit_generator.state == rng2.bit_generator.state
 
 

@@ -193,6 +193,17 @@ def test_kept_replicates_reproduce_aggregates():
     assert mean_squared_error(est, cell.theta_total) == cell.mse[("ebri", "total")]
 
 
+def test_method_order_does_not_change_draws():
+    # methods draw in METHODS order whatever order the config lists them in,
+    # so each method's replicates match those of the default list
+    runs = [run_experiment(tiny_config(methods=methods, keep_replicates=True)).cells[0]
+            for methods in (("ebri", "rri"), ("rri", "ebri"), ("dri", "rri", "ebri"))]
+    for key, vals in runs[0].replicates.items():
+        for other in runs[1:]:
+            np.testing.assert_array_equal(other.replicates[key], vals, err_msg=str(key))
+    assert {m for m, _ in runs[0].replicates} == {"rri", "ebri"}
+
+
 def test_srswor_design_replays_its_samples():
     # full response: every method's total is the expansion total N/n sum(y)
     # of the sample that srswor draws from the replicate's generator

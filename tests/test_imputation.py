@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from flight_oracle import dense
+from flight_oracle import dense, grid_cells
 
 from balimpute.estimators import imputed_total
 from balimpute.imputation import (
+    MAX_GRID_CELLS,
     Mar,
     Mcar,
     build_cells,
@@ -108,7 +109,8 @@ def test_build_cells_thompson_grid():
     dv = th.d[6:] * np.sqrt(th.z1[6:])
     problem = build_cells(fit.omega_tilde[:6], fit.residuals[:6], dv)
     assert problem.n_cells == 24
-    assert np.all(problem.pi0 == pytest.approx(1 / 6, rel=1e-12))
+    assert problem.pi0 is None  # every row starts at psi_row
+    assert np.all(problem.grid.psi_row == pytest.approx(1 / 6, rel=1e-12))
     assert problem.n_constraints == 5
     assert not hasattr(problem, "a_matrix")
     # the flight walks the grid; its matrix is built only on request
@@ -161,7 +163,7 @@ def test_dri_thompson_values():
     assert ds.y_star[6] == pytest.approx(0.95 * 33.9 / 35.9, rel=1e-12)
     assert f"{ds.y_star[6]:.2f}" == "0.90"
     assert np.array_equal(ds.y_star[:6], th.y[:6])
-    assert ds.flight is None and ds.donor_weights is None
+    assert ds.flight is None and ds.donors is None and ds.shares is None
 
 
 # --- random regression imputation ------------------------------------------
@@ -175,7 +177,7 @@ def test_rri_donor_frequencies_and_mean():
     eps_mean = 0.0
     for _ in range(reps):
         ds = impute_rri(fit, th.z1[:, None], th.y, th.z1, rng)
-        counts += ds.donor_weights.sum(axis=0)
+        counts += grid_cells(ds.donors, ds.shares, 6).sum(axis=0)
         eps_mean += ds.eps_star[6:].mean()
     freq = counts / (4 * reps)
     se = np.sqrt((1 / 6) * (5 / 6) / (4 * reps))
@@ -188,8 +190,9 @@ def test_rri_donor_frequencies_and_mean():
 def test_rri_rows_use_single_donor():
     th, fit = thompson_setup()
     ds = impute_rri(fit, th.z1[:, None], th.y, th.z1, np.random.default_rng(0))
-    assert np.all(ds.donor_weights.sum(axis=1) == 1.0)
-    assert np.all((ds.donor_weights == 0.0) | (ds.donor_weights == 1.0))
+    weights = grid_cells(ds.donors, ds.shares, 6)
+    assert np.all(weights.sum(axis=1) == 1.0)
+    assert np.all((weights == 0.0) | (weights == 1.0))
     assert np.all(ds.pure)
 
 
@@ -211,16 +214,17 @@ def test_ebri_row_sums_and_purity():
     for seed in range(300):
         ds = impute_ebri(fit, th.z1[:, None], th.y, th.z1, th.d,
                          np.random.default_rng(1000 + seed))
-        sums = ds.donor_weights.sum(axis=1)
+        weights = grid_cells(ds.donors, ds.shares, 6)
+        sums = weights.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-9, seed
-        assert np.all(ds.donor_weights >= 0.0)
+        assert np.all(weights >= 0.0)
         n_pure = int(ds.pure.sum())
         assert n_pure >= ds.n_imputed - 1, seed
         if n_pure < ds.n_imputed:
             mixed_rows += 1
             # the one mixed row splits between exactly two donors
             k = int(np.flatnonzero(~ds.pure)[0])
-            frac = (ds.donor_weights[k] > 0) & (ds.donor_weights[k] < 1)
+            frac = (weights[k] > 0) & (weights[k] < 1)
             assert frac.sum() == 2
     assert mixed_rows > 0  # mixing does happen; purity is not vacuous
 
@@ -259,6 +263,39 @@ def test_ebri_without_purity_vars_still_balances():
         assert abs(balance_gap(fit, ds, th.d, th.z1)) < 1e-10
         # single constraint: at most one fractional cell
         assert ds.flight.n_fractional <= 1
+
+
+def test_ebri_memory_is_linear_in_sample_size():
+    # a 3,000 x 3,000 grid, 4.5x MAX_GRID_CELLS; its cells alone would take
+    # 72 MB as a dense float array.  The walk holds two donors per row, and
+    # measured 184 bytes per sample unit at its peak
+    rng = np.random.default_rng(31)
+    n = 6000
+    z1 = rng.gamma(2.0, 5.0, size=n)
+    respond = np.arange(n) % 2 == 0
+    y = np.where(respond, z1 + np.sqrt(z1) * rng.standard_normal(n), np.nan)
+    fit = fit_model(z1[:, None], y, z1, respond, 10 * n)
+    d = np.full(n, 10.0)
+    tracemalloc.start()
+    try:
+        ds = impute_ebri(fit, z1[:, None], y, z1, d, np.random.default_rng(32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_imputed * (n - ds.n_imputed) > MAX_GRID_CELLS
+    assert peak < 400 * n, peak
+    assert abs(balance_gap(fit, ds, d, z1)) <= 1e-8 * float(d[~respond] @ np.sqrt(z1[~respond]))
+    assert ds.donors.shape == ds.shares.shape == (3000, 2)
+
+
+def test_ebri_eps_is_the_two_donor_mix():
+    # eps* at each row is x_a e_a + x_b e_b of its two donors, exactly
+    th, fit = thompson_setup()
+    e = fit.residuals[:6]
+    for seed in range(50):
+        ds = impute_ebri(fit, th.z1[:, None], th.y, th.z1, th.d, np.random.default_rng(seed))
+        (a, b), (x_a, x_b) = ds.donors.T, ds.shares.T
+        np.testing.assert_array_equal(ds.eps_star[6:], x_a * e[a] + x_b * e[b])
 
 
 def test_first_realization_admissible():
@@ -318,4 +355,5 @@ def test_ebri_deterministic_given_seed():
     b = impute_ebri(fit, th.z1[:, None], th.y, th.z1, th.d,
                     np.random.default_rng(123))
     assert np.array_equal(a.y_star, b.y_star)
-    assert np.array_equal(a.donor_weights, b.donor_weights)
+    assert np.array_equal(a.donors, b.donors)
+    assert np.array_equal(a.shares, b.shares)

@@ -36,6 +36,13 @@ def test_recipe_validation():
         PopulationRecipe(n_units=0, beta=(1.0,), sigma2=1.0)
 
 
+@pytest.mark.parametrize("beta", [(1.0, 7.0, -3.0), (1.0, 5.0), ()])
+def test_recipe_rejects_beta_it_would_not_use(beta):
+    # the generator reads beta[0] alone: y = beta z1 + sqrt(z1) eps
+    with pytest.raises(ValueError, match="one slope"):
+        PopulationRecipe(n_units=10, beta=beta, target_r2=0.36)
+
+
 def test_recipe_json_roundtrip():
     r = PopulationRecipe(n_units=500, beta=(1.25,), target_r2=0.36)
     back = PopulationRecipe.from_json(r.to_json())
