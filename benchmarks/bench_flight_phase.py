@@ -4,7 +4,7 @@ Each grid is an n x n imputation grid (n nonrespondent rows, n donor
 columns, one balance row plus n purity rows) built the way ``impute_ebri``
 builds it, through ``imputation.build_cells``.  Every grid is walked by the
 grid walk ``flight_phase`` takes on that problem; grids up to
-``--general-max`` are also walked by the general kernel on the same grid's
+``GENERAL_MAX`` are also walked by the general kernel on the same grid's
 balancing matrix (``CellGrid.columns``), the kernel dense and
 ``--no-purity-vars`` problems take, which holds every cell.  For each walk
 the script reports the build time, the flight time (median and range over
@@ -32,6 +32,8 @@ import numpy as np
 
 from balimpute.cube import BalanceProblem, flight_phase
 from balimpute.imputation import build_cells
+
+GENERAL_MAX = 500  # largest n the general kernel also walks (its cells are held)
 
 
 def peak_rss_mb() -> float:
@@ -90,8 +92,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grids", default="50,100,200,500,1000,2000,5000,10000",
                         help="comma-separated grid sides n (n x n cells each)")
-    parser.add_argument("--general-max", type=int, default=500,
-                        help="largest n the general kernel also walks")
     parser.add_argument("--repeats", type=int, default=3, help="flights timed per grid")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="also write the results as JSON here")
@@ -107,7 +107,6 @@ def main() -> int:
         },
         "repeats": args.repeats,
         "seed": args.seed,
-        "general_max": args.general_max,
         "grids": [],
     }
     env = report["environment"]
@@ -116,7 +115,7 @@ def main() -> int:
     ctx = multiprocessing.get_context("spawn")
     for n in sorted(int(x) for x in args.grids.split(",")):
         with ctx.Pool(1) as pool:  # a fresh interpreter: the peak RSS is this grid's
-            row = pool.apply(time_grid, (n, args.seed, args.repeats, n <= args.general_max))
+            row = pool.apply(time_grid, (n, args.seed, args.repeats, n <= GENERAL_MAX))
         report["grids"].append(row)
         walks = [("grid walk", row)]
         if "general_kernel" in row:

@@ -268,15 +268,16 @@ def impute_ebri(
     flight = flight_phase(problem, rng)
     if flight.itilde is None:
         donors, shares = flight.donors, flight.shares
+        # x_a e_a + x_b e_b: each row's two shares times their residuals
+        eps_rows = (shares * residuals[donors]).sum(axis=1)
     else:
         # one balance row lets a row take any number of donors: list each
         # row's in ascending column order, padded to the widest with shares 0
         itilde = flight.itilde.reshape(n_m, n_r)
+        eps_rows = itilde @ residuals
         width = max(int(np.count_nonzero(itilde, axis=1).max()), 1)
         donors = np.argsort(itilde == 0.0, axis=1, kind="stable")[:, :width]
         shares = np.take_along_axis(itilde, donors, axis=1)
-    # x_a e_a + x_b e_b on a grid row: each share times its residual, summed
-    eps_rows = (shares * residuals[donors]).sum(axis=1)
     pure = ~((shares > 0.0) & (shares < 1.0)).any(axis=1)
     return _imputed("ebri", model, z, y, v, rows, cols, eps_rows, donors=donors,
                     shares=shares, pure=pure, flight=flight)
