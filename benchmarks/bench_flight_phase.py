@@ -4,9 +4,9 @@ Each grid is an n x n imputation grid (n nonrespondent rows, n donor
 columns, one balance row plus n purity rows) built the way ``impute_ebri``
 builds it, through ``imputation.build_cells``.  Every grid is walked by the
 grid walk ``flight_phase`` takes on that problem; grids up to
-``GENERAL_MAX`` are also walked by the general kernel on the same grid's
-balancing matrix (``CellGrid.columns``), the kernel dense and
-``--no-purity-vars`` problems take, which holds every cell.  For each walk
+``ONE_ROW_MAX`` are also built without purity variables, as
+``impute --no-purity-vars`` builds them, and walked by the one-row walk,
+which holds every cell and takes about one step per cell.  For each walk
 the script reports the build time, the flight time (median and range over
 the repeats) and flight steps per second.  Each grid runs in a fresh
 interpreter, so its ``peak_rss_mb``, read with ``resource.getrusage`` after
@@ -33,7 +33,7 @@ import numpy as np
 from balimpute.cube import BalanceProblem, flight_phase
 from balimpute.imputation import build_cells
 
-GENERAL_MAX = 500  # largest n the general kernel also walks (its cells are held)
+ONE_ROW_MAX = 500  # largest n also walked without purity variables (its cells are held)
 
 
 def peak_rss_mb() -> float:
@@ -59,9 +59,9 @@ def time_flight(problem: BalanceProblem, seed: int, repeats: int) -> dict:
     }
 
 
-def time_grid(n: int, seed: int, repeats: int, general: bool = True) -> dict:
-    """The grid walk's numbers at the top level, the general kernel's, when
-    ``general`` is set, under ``general_kernel``."""
+def time_grid(n: int, seed: int, repeats: int, one_row: bool = True) -> dict:
+    """The grid walk's numbers at the top level; when ``one_row`` is set,
+    those of the same grid without purity variables under ``one_row``."""
     base_rss = peak_rss_mb()
     rng = np.random.default_rng(seed)
     residuals = rng.standard_normal(n)  # drawn before dv, as for BENCH_4.json
@@ -76,13 +76,12 @@ def time_grid(n: int, seed: int, repeats: int, general: bool = True) -> dict:
         "build_ms": round(build_s * 1e3, 2),
         **time_flight(problem, seed, repeats),
     }
-    if general:
+    if one_row:
         t0 = time.perf_counter()
-        by_columns = BalanceProblem(pi0=np.tile(problem.grid.psi_row, n),
-                                    columns=problem.grid.columns())
+        flat = build_cells(np.full(n, 1.0 / n), residuals, dv, with_purity_vars=False)
         build_s = time.perf_counter() - t0
-        row["general_kernel"] = {"build_ms": round(build_s * 1e3, 2),
-                                 **time_flight(by_columns, seed, repeats)}
+        row["one_row"] = {"build_ms": round(build_s * 1e3, 2),
+                          **time_flight(flat, seed, repeats)}
     row["base_rss_mb"] = round(base_rss, 1)
     row["peak_rss_mb"] = round(peak_rss_mb(), 1)
     return row
@@ -98,7 +97,7 @@ def main() -> int:
     args = parser.parse_args()
 
     report = {
-        "benchmark": "flight_phase on n x n ebri grids: grid walk and general kernel",
+        "benchmark": "flight_phase on n x n ebri grids: grid walk, and one-row walk without purity variables",
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -115,11 +114,11 @@ def main() -> int:
     ctx = multiprocessing.get_context("spawn")
     for n in sorted(int(x) for x in args.grids.split(",")):
         with ctx.Pool(1) as pool:  # a fresh interpreter: the peak RSS is this grid's
-            row = pool.apply(time_grid, (n, args.seed, args.repeats, n <= GENERAL_MAX))
+            row = pool.apply(time_grid, (n, args.seed, args.repeats, n <= ONE_ROW_MAX))
         report["grids"].append(row)
         walks = [("grid walk", row)]
-        if "general_kernel" in row:
-            walks.append(("general", row["general_kernel"]))
+        if "one_row" in row:
+            walks.append(("one row", row["one_row"]))
         for name, walk in walks:
             print(f"{row['grid']:>11} {name:>9}: {row['cells']:>9} cells  "
                   f"{walk['steps']:>7} steps  flight {walk['flight_ms_median']:10.1f} ms  "

@@ -66,43 +66,30 @@ fractional cells, so the walk is a flight phase of the grid problem: it
 keeps the balance row and every row sum, and E[itilde] = pi0.  Phase 1
 uses one uniform per row and each step of phase 2 fixes a split row, so
 there are at most 2 n_m steps.  A direction entry within DIRECTION_GUARD
-of 0, relative to the direction's largest entry, is not moved.  The
-trajectory is not the one the general walk below would take for the same
-uniforms.
+of 0, relative to the direction's largest entry, is not moved.
 
-**Any other matrix** (``BalanceColumns``, or a dense ``a_matrix``) is held
-by column in compressed form, so a problem costs memory in proportion to
-its nonzeros.  Its walk draws exactly one uniform per cell up front, and
-reads only the few leading fractional columns each step needs:
+**One balancing row** (a (1, M) ``a_matrix``, as ``build_cells`` gives
+without purity variables) is walked from pi0 itself, one uniform per step.
+Each step reads the two lowest fractional cells c1 < c2, the window of
+Chauvet & Tille (2006) at q = 1, and takes the first null vector a
+Gauss-Jordan elimination of the restricted row gives under that order:
 
-1. take the fractional coordinates in ascending index order and read their
-   balancing columns one by one, stopping at the first column that depends
-   on the ones before it (Gauss-Jordan with partial pivoting);
-2. read off the null vector that column defines, which is the first
-   kernel-basis vector of the restricted matrix under this ordering;
-3. step, snap, and repeat until the restricted kernel is trivial.
+1. when one fractional cell is left and its a is not 0, the restricted
+   kernel is trivial and the walk stops;
+2. when a[c1] = 0, or |a[c1]| <= PIVOT_RTOL max(|a[c1]|, |a[c2]|), c1 is
+   no pivot and steps alone along (1); so does a lone last cell with a = 0;
+3. otherwise c2 and c1 step along (1, -a[c2] / a[c1]).
 
-Every column before the first dependent one is a pivot, so that column lies
-within the first min(q + 1, #fractional) fractional columns: the window of
-Chauvet & Tille (2006).  Only the columns up to it are read.  Each column is
-reduced by replaying the earlier pivot operations on it (row swap, pivot-row
-division, elimination) in the order a batch Gauss-Jordan over the window
-would apply them, so the floating-point operations, the first-position
-tie-break of partial pivoting and the resulting trajectory are exactly those
-of the batch elimination.  A column touches only its nonzero rows.
-
-The pivot tolerance is PIVOT_RTOL times the largest |a| over the first
-min(q + 1, #fractional) fractional columns.  A candidate above PIVOT_RTOL
-times the largest |a| of the whole matrix clears that tolerance whatever the
-window holds, so the window maximum is only computed for the rare candidate
-below it.
-
-The fractional coordinates are kept in a list in descending index order, so
-the window is its tail and the cells a step fixes are dropped in place.
+A cell the step takes to a face is snapped to it against rounding, within
+INTEGER_SNAP_TOL of its own move; a cell that merely ends near a face, as
+one that starts within INTEGER_SNAP_TOL of it may, keeps its value.  So
+the walk balances pi0 to rounding, not a start snapped to the faces.  The fractional cells are kept in
+a list in descending index order, so the window is its tail and the cells
+a step fixes are dropped in place.
 """
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -114,50 +101,6 @@ DIRECTION_GUARD = 1e-14
 
 class FlightPhaseError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class BalanceColumns:
-    """A q x M matrix by column: column c has the nonzeros
-    ``values[col_ptr[c]:col_ptr[c + 1]]`` in rows ``row_idx[...]``, rows
-    ascending."""
-
-    n_rows: int
-    col_ptr: npt.NDArray[np.int64]
-    row_idx: npt.NDArray[np.int64]
-    values: npt.NDArray[np.float64]
-
-    @property
-    def n_cols(self) -> int:
-        return self.col_ptr.shape[0] - 1
-
-    @classmethod
-    def from_entries(cls, n_rows: int, n_cols: int, cols, rows, values) -> "BalanceColumns":
-        """From entries sorted by column, then row; zero entries are dropped."""
-        cols = np.asarray(cols, dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if not cols.shape == rows.shape == values.shape or cols.ndim != 1:
-            raise ValueError("cols, rows and values must be vectors of one length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("balancing matrix has non-finite entries")
-        if cols.size and (cols.min() < 0 or cols.max() >= n_cols
-                          or rows.min() < 0 or rows.max() >= n_rows):
-            raise ValueError("entry index out of range")
-        if np.any(np.diff(cols * n_rows + rows) <= 0):
-            raise ValueError("entries must be sorted by column, then row, without repeats")
-        nz = values != 0.0
-        if not nz.all():
-            cols, rows, values = cols[nz], rows[nz], values[nz]
-        col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=n_cols), out=col_ptr[1:])
-        return cls(int(n_rows), col_ptr, rows, values)
-
-    @classmethod
-    def from_dense(cls, a: npt.NDArray[np.float64]) -> "BalanceColumns":
-        """The nonzeros of a dense q x M array."""
-        cols, rows = np.nonzero(a.T)
-        return cls.from_entries(a.shape[0], a.shape[1], cols, rows, a[rows, cols])
 
 
 @dataclass(frozen=True)
@@ -196,58 +139,39 @@ class CellGrid:
     def n_donors(self) -> int:
         return self.residuals.shape[0]
 
-    def columns(self, with_purity_vars: bool = True) -> BalanceColumns:
-        """The grid's balancing matrix, two nonzeros per cell (one without
-        the purity rows), built by column and never dense."""
-        n_m, n_r = self.n_rows, self.n_donors
-        m = n_m * n_r
-        per = 2 if with_purity_vars else 1  # nonzeros per column
-        cells = np.repeat(np.arange(m), per)
-        rows = np.zeros(per * m, dtype=np.int64)
-        vals = np.ones(per * m)
-        vals[0::per] = np.outer(self.dv, self.residuals).ravel()
-        if with_purity_vars:
-            # column k * n_r + l: row 0 holds its balance entry, row 1 + k a 1
-            rows[1::2] = np.repeat(np.arange(1, n_m + 1), n_r)
-        return BalanceColumns.from_entries(1 + n_m if with_purity_vars else 1, m, cells,
-                                           rows, vals)
-
 
 @dataclass(frozen=True)
 class BalanceProblem:
     """A flight's start and balancing matrix, given as exactly one of
-    ``columns``; ``a_matrix``, dense (q rows, M columns), converted to
-    ``columns`` and not kept; or ``grid``, the imputation grid, walked by
-    rows.  The first two start at ``pi0``; a grid has no pi0, as each of its
-    rows starts at the grid's psi_row."""
+    ``a_matrix``, one balancing row of M entries as a (1, M) array, walked
+    from ``pi0``; or ``grid``, the imputation grid, walked by rows.  A grid
+    has no pi0, as each of its rows starts at the grid's psi_row."""
 
     pi0: npt.NDArray[np.float64] | None = None
-    a_matrix: InitVar[npt.NDArray[np.float64] | None] = None
-    columns: BalanceColumns | None = None
+    a_matrix: npt.NDArray[np.float64] | None = None
     grid: CellGrid | None = None
 
-    def __post_init__(self, a_matrix):
-        if (a_matrix is not None) + (self.columns is not None) + (self.grid is not None) != 1:
-            raise ValueError("give exactly one of a_matrix, columns and grid")
+    def __post_init__(self):
+        if (self.a_matrix is None) == (self.grid is None):
+            raise ValueError("give exactly one of a_matrix and grid")
         if self.grid is not None:
             if self.pi0 is not None:
                 raise ValueError("a grid starts at its psi_row: give no pi0")
             return
         if self.pi0 is None:
-            raise ValueError("pi0 is required with a_matrix or columns")
+            raise ValueError("pi0 is required with a_matrix")
         pi0 = np.ascontiguousarray(self.pi0, dtype=np.float64)
         if pi0.ndim != 1:
             raise ValueError("pi0 must be a vector")
-        if a_matrix is not None:
-            a = np.ascontiguousarray(a_matrix, dtype=np.float64)
-            if a.ndim != 2 or a.shape[1] != pi0.shape[0]:
-                raise ValueError("a_matrix must be (q, len(pi0))")
-            object.__setattr__(self, "columns", BalanceColumns.from_dense(a))
-        elif self.columns.n_cols != pi0.shape[0]:
-            raise ValueError("columns must number len(pi0)")
+        a = np.ascontiguousarray(self.a_matrix, dtype=np.float64)
+        if a.shape != (1, pi0.shape[0]):
+            raise ValueError("a_matrix must be one row of len(pi0) entries, shape (1, M)")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("balancing matrix has non-finite entries")
         if not np.all((pi0 >= 0.0) & (pi0 <= 1.0)):
             raise ValueError("pi0 entries must lie in [0, 1]")
         object.__setattr__(self, "pi0", pi0)
+        object.__setattr__(self, "a_matrix", a)
 
     @property
     def n_cells(self) -> int:
@@ -257,12 +181,7 @@ class BalanceProblem:
 
     @property
     def n_constraints(self) -> int:
-        return self.columns.n_rows if self.grid is None else 1 + self.grid.n_rows
-
-
-# dataclass leaves an InitVar's default behind as a class attribute, which
-# would read as problem.a_matrix = None
-del BalanceProblem.a_matrix
+        return 1 if self.grid is None else 1 + self.grid.n_rows
 
 
 @dataclass(frozen=True)
@@ -270,7 +189,7 @@ class FlightResult:
     """Where a flight ended.  On a grid, row by row: row k holds
     ``shares[k]`` at the donors ``donors[k]``, two per row, and 0 in every
     other cell; a pure row holds its donor at share 1 beside a share 0, and
-    one-point rows name that donor twice.  On any other problem ``itilde``
+    one-point rows name that donor twice.  On one balancing row ``itilde``
     holds every cell."""
 
     steps: int
@@ -289,14 +208,18 @@ class FlightResult:
         return int(np.count_nonzero(self.fractional))
 
 
-def _step(x, window, u, t, guard):
+def _step(x, window, u, t, guard, by_move=False):
     """One martingale step.  ``window`` holds (cell, x[cell], direction
     entry) triples; the cells move along the direction to the face of the
     unit box it hits going up or going down, going up with the probability
-    that keeps every cell a martingale, and are snapped.  Entries within
-    ``guard`` of 0 stay put.  Returns the window's cells still fractional,
-    in window order.  Raises FlightPhaseError at a degenerate step length or
-    when no cell reaches a face."""
+    that keeps every cell a martingale.  A cell that ends within
+    INTEGER_SNAP_TOL of a face is snapped to it; with ``by_move``, within
+    INTEGER_SNAP_TOL times its own move, which catches the rounding of a
+    cell the step takes to a face but leaves a cell that merely ends near
+    one where it is.  Entries within ``guard`` of 0 stay put.  Returns the
+    window's cells still fractional, in window order.  Raises
+    FlightPhaseError at a degenerate step length or when no cell reaches a
+    face."""
     lam1 = lam2 = math.inf
     for _, cur, val in window:
         if val > guard:
@@ -321,10 +244,12 @@ def _step(x, window, u, t, guard):
     kept = []
     for k, cur, val in window:
         if val > guard or val < -guard:
-            cur += step * val
-            if abs(cur) <= eps_int:
+            move = step * val
+            cur += move
+            tol = eps_int * abs(move) if by_move else eps_int
+            if abs(cur) <= tol:
                 cur = 0.0
-            elif abs(cur - 1.0) <= eps_int:
+            elif abs(cur - 1.0) <= tol:
                 cur = 1.0
             x[k] = cur
         if 0.0 < cur < 1.0:
@@ -332,13 +257,6 @@ def _step(x, window, u, t, guard):
     if len(kept) == len(window):
         raise FlightPhaseError(f"no coordinate fixed at step {t + 1}")
     return kept
-
-
-def _snapped(pi: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    pi = pi.copy()
-    pi[np.abs(pi) <= INTEGER_SNAP_TOL] = 0.0
-    pi[np.abs(pi - 1.0) <= INTEGER_SNAP_TOL] = 1.0
-    return pi
 
 
 def _splitting(psi: npt.NDArray[np.float64], e: npt.NDArray[np.float64]):
@@ -451,102 +369,44 @@ def _grid_walk(grid: CellGrid, rng: np.random.Generator):
     return donors, shares, t
 
 
-def _swap_rows(col, i, j):
-    x_i = col.pop(i, None)
-    x_j = col.pop(j, None)
-    if x_i is not None:
-        col[j] = x_i
-    if x_j is not None:
-        col[i] = x_j
-
-
-def _column_walk(a: BalanceColumns, pi: npt.NDArray[np.float64],
-                 u: list[float]) -> tuple[list[float], int]:
-    """The general walk of the module docstring from the snapped start
-    ``pi``; returns the end point and the step count."""
+def _row_walk(a: npt.NDArray[np.float64], pi: npt.NDArray[np.float64],
+              rng: np.random.Generator) -> tuple[list[float], int]:
+    """The one-row walk of the module docstring from ``pi``; returns the end
+    point and the step count, drawing one uniform per step from rng."""
     pivot_rtol = PIVOT_RTOL
+    a = a.tolist()
+    x = pi.tolist()
+    # descending, so the two lowest fractional cells are the tail
     free = np.flatnonzero((pi > 0.0) & (pi < 1.0))[::-1].tolist()
-    x_pi = pi.tolist()
-    ptr = a.col_ptr.tolist()
-    rows = a.row_idx.tolist()
-    vals = a.values.tolist()
-    clear = pivot_rtol * (float(np.abs(a.values).max()) if a.values.size else 0.0)
-    wmax = a.n_rows + 1
-
+    uniform = rng.random
     t = 0
     while free:
-        nf = len(free)
-        w = wmax if nf > wmax else nf
-        tol = -1.0  # the window tolerance, computed on first need
-        # pivot k: (row swapped into row k, pivot value, the pivot column's
-        # entries in the other rows after the swap)
-        pivots = []
-        while True:
-            r = len(pivots)
-            if r == w:
-                break
-            c = free[-1 - r]
-            col = dict(zip(rows[ptr[c]:ptr[c + 1]], vals[ptr[c]:ptr[c + 1]]))
-            for k, (swap, piv, fac) in enumerate(pivots):
-                if swap != k:
-                    _swap_rows(col, swap, k)
-                x = col.get(k)
-                if x is not None:
-                    x /= piv
-                    col[k] = x
-                    for i, f in fac:
-                        col[i] = col.get(i, 0.0) - f * x
-
-            best = 0.0
-            p_row = -1
-            for i, x in col.items():
-                if i >= r:
-                    x = abs(x)
-                    if x > best or (x == best and i < p_row):
-                        best = x
-                        p_row = i
-            if best == 0.0:
-                break
-            if best <= clear:
-                if tol < 0.0:
-                    tol = pivot_rtol * max(
-                        (abs(vals[e]) for k in free[-w:] for e in range(ptr[k], ptr[k + 1])),
-                        default=0.0,
-                    )
-                if best <= tol:
-                    break
-
-            if p_row != r:
-                _swap_rows(col, p_row, r)
-            piv = col.pop(r)
-            pivots.append((p_row, piv, list(col.items())))
-        if r == w:
+        c1 = free[-1]
+        c2 = free[-2] if len(free) > 1 else c1
+        a1, a2 = a[c1], a[c2]
+        if abs(a1) <= pivot_rtol * max(abs(a1), abs(a2)):
+            window = ((c1, x[c1], 1.0),)  # no pivot: c1 alone is a null vector
+        elif c2 == c1:
             break
-
-        # null vector on window cells free[-1], ..., free[-1 - r]
-        direction = [-col.get(k, 0.0) for k in range(r)]
-        direction.append(1.0)
-        window = [(k, x_pi[k], d) for k, d in zip(free[-1 - r:], reversed(direction))]
-        free[-1 - r:] = _step(x_pi, window, u[t], t, DIRECTION_GUARD)
+        else:
+            window = ((c2, x[c2], 1.0), (c1, x[c1], -(a2 / a1)))
+        free[-len(window):] = _step(x, window, uniform(), t, DIRECTION_GUARD, True)
         t += 1
-    return x_pi, t
+    return x, t
 
 
 def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightResult:
     """Run the flight phase.  Raises FlightPhaseError when a step has a
     degenerate length or fixes no coordinate.
 
-    On a grid the walk draws one uniform per step as it goes: n_m for phase
-    1, then one per step of phase 2, so ``steps`` in all and none when one
-    donor holds all of psi.  These are the doubles a single draw of that
-    many would give.  On any other problem exactly n_cells uniforms are
-    drawn up front, so the generator state after the call does not depend
-    on the number of steps, which is at most n_cells because every step
-    fixes a cell.
+    The walk draws one uniform per step as it takes it, so ``steps`` in all:
+    on a grid n_m for phase 1, then one per step of phase 2, and none when
+    one donor holds all of psi; on one balancing row one per step, at most
+    one per cell, as every step fixes a cell.  These are the doubles a single
+    draw of that many would give.
     """
     if problem.grid is not None:
         donors, shares, steps = _grid_walk(problem.grid, rng)
         return FlightResult(steps=steps, donors=donors, shares=shares)
-    x, steps = _column_walk(problem.columns, _snapped(problem.pi0),
-                            rng.random(problem.n_cells).tolist())
+    x, steps = _row_walk(problem.a_matrix[0], problem.pi0, rng)
     return FlightResult(steps=steps, itilde=np.array(x, dtype=np.float64))

@@ -32,7 +32,7 @@ from .regression import FittedModel, NoRespondentsError
 
 MAR_CALIBRATION_TOL = 1e-6
 # largest nonrespondent x donor grid impute_ebri walks without purity
-# variables, where the general kernel holds every cell: 8x the 500 x 500
+# variables, where the one-row walk holds every cell: 8x the 500 x 500
 # grid of benchmarks/bench_flight_phase.py.  The grid walk holds two donors
 # per row and needs no cap
 MAX_GRID_CELLS = 2_000_000
@@ -164,14 +164,14 @@ def build_cells(
     balance row (dv_k = d_k v_k^{1/2}) and, with purity variables on, the
     indicator of row k.  That problem is returned as its grid, which the
     flight walks row by row and never builds a cell array or a matrix for;
-    without purity variables it is the one balance row, by column, from
-    the start pi0 that repeats psi_row in every row.
+    without purity variables it is the one balance row, one entry per cell,
+    from the start pi0 that repeats psi_row in every row.
     """
     grid = CellGrid(psi_row, residuals, dv)
     if with_purity_vars:
         return BalanceProblem(grid=grid)
     return BalanceProblem(pi0=np.tile(grid.psi_row, grid.n_rows),
-                          columns=grid.columns(with_purity_vars=False))
+                          a_matrix=np.outer(grid.dv, grid.residuals).reshape(1, -1))
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,7 @@ def test_impute_without_respondents_is_bad_input(tmp_path, capsys):
 @pytest.mark.parametrize("cap, code", [(23, 2), (24, 0)])
 def test_impute_ebri_grid_cap(tmp_path, capsys, monkeypatch, cap, code):
     # the Thompson sample's grid is 4 nonrespondents x 6 donors = 24 cells;
-    # only the general kernel, without purity variables, holds them all
+    # only the one-row walk, without purity variables, holds them all
     monkeypatch.setattr(imputation, "MAX_GRID_CELLS", cap)
     src = tmp_path / "s.csv"
     write_thompson_csv(src)

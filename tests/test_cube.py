@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from flight_oracle import _flight_numpy, dense
+from flight_oracle import _flight_numpy
 
 from balimpute import cube
 from balimpute.cube import (
@@ -15,10 +15,9 @@ from balimpute.cube import (
 )
 
 
-def random_problem(rng, m=None, q=None):
+def random_problem(rng, m=None):
     m = m or int(rng.integers(3, 9))
-    q = q or int(rng.integers(1, min(m, 4)))
-    a = rng.standard_normal((q, m))
+    a = rng.standard_normal((1, m))
     pi0 = rng.uniform(0.05, 0.95, size=m)
     return BalanceProblem(pi0=pi0, a_matrix=a)
 
@@ -30,7 +29,7 @@ def walk_states(problem, rng):
     u = copy.deepcopy(rng).random(problem.n_cells)
     res = flight_phase(problem, rng)
     history = np.empty((problem.n_cells + 1, problem.n_cells))
-    _, steps = _flight_numpy(problem.pi0.copy(), dense(problem.columns), u, INTEGER_SNAP_TOL,
+    _, steps = _flight_numpy(problem.pi0.copy(), problem.a_matrix, u, INTEGER_SNAP_TOL,
                              PIVOT_RTOL, DIRECTION_GUARD, True, history)
     assert steps == res.steps
     assert np.array_equal(history[steps], res.itilde)
@@ -70,7 +69,7 @@ def test_balance_preserved_along_walk():
         rng = np.random.default_rng(400 + seed)
         problem = random_problem(rng)
         _, history = walk_states(problem, rng)
-        a = dense(problem.columns)
+        a = problem.a_matrix
         target = a @ problem.pi0
         scale = max(1.0, np.max(np.abs(a)))
         for state in history:
@@ -79,9 +78,9 @@ def test_balance_preserved_along_walk():
 
 def test_steps_move_in_kernel():
     rng = np.random.default_rng(31)
-    problem = random_problem(rng, m=8, q=3)
+    problem = random_problem(rng, m=8)
     res, history = walk_states(problem, rng)
-    a = dense(problem.columns)
+    a = problem.a_matrix
     for t in range(res.steps):
         d = history[t + 1] - history[t]
         assert np.max(np.abs(a @ d)) < 1e-9
@@ -98,7 +97,7 @@ def test_fractional_bound_and_range():
 
 def test_martingale_means():
     rng = np.random.default_rng(77)
-    a = rng.standard_normal((2, 6))
+    a = rng.standard_normal((1, 6))
     pi0 = rng.uniform(0.1, 0.9, size=6)
     problem = BalanceProblem(pi0=pi0, a_matrix=a)
     reps = 6000
@@ -122,14 +121,15 @@ def test_integer_start_is_fixed_point():
     assert res.steps == 0
 
 
-def test_rng_consumption_is_step_independent():
-    # exactly n_cells uniforms are consumed whatever trajectory is taken
+def test_rng_consumption_is_one_per_step():
+    # one uniform per step as it is taken, the doubles of a single draw
     problem = BalanceProblem(pi0=np.full(5, 0.4), a_matrix=np.ones((1, 5)))
     rng1 = np.random.default_rng(9)
-    flight_phase(problem, rng1)
+    res = flight_phase(problem, rng1)
+    assert 1 < res.steps < problem.n_cells
     rng2 = np.random.default_rng(9)
-    rng2.random(5)
-    assert rng1.random() == rng2.random()
+    rng2.random(res.steps)
+    assert rng1.bit_generator.state == rng2.bit_generator.state
 
 
 def test_degenerate_step_raises(monkeypatch):
@@ -138,13 +138,6 @@ def test_degenerate_step_raises(monkeypatch):
     problem = BalanceProblem(pi0=np.full(4, 0.5), a_matrix=np.ones((1, 4)))
     with pytest.raises(FlightPhaseError, match="^degenerate step length at step 0$"):
         flight_phase(problem, np.random.default_rng(0))
-
-
-def test_dense_input_is_not_kept():
-    a = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
-    problem = BalanceProblem(pi0=np.full(3, 0.5), a_matrix=a)
-    assert not hasattr(problem, "a_matrix")
-    np.testing.assert_array_equal(dense(problem.columns), a)
 
 
 def test_problem_validation():
@@ -156,3 +149,10 @@ def test_problem_validation():
         BalanceProblem(pi0=np.array([0.5]), a_matrix=np.array([[np.inf]]))
     with pytest.raises(ValueError, match="exactly one"):
         BalanceProblem(pi0=np.array([0.5]))
+    # one balancing row only, kept as a float array
+    for shape in ((2, 3), (0, 3), (3,), (1, 1, 3)):
+        with pytest.raises(ValueError, match="one row"):
+            BalanceProblem(pi0=np.full(3, 0.5), a_matrix=np.ones(shape))
+    problem = BalanceProblem(pi0=np.full(3, 0.5), a_matrix=[[1, 0, 2]])
+    assert problem.a_matrix.dtype == np.float64
+    np.testing.assert_array_equal(problem.a_matrix, [[1.0, 0.0, 2.0]])

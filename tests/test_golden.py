@@ -3,7 +3,8 @@
 Refactors of the flight, the imputed dataset and the CLI writers must not
 move these: ``example``'s stdout at two seeds, the donor selection and
 flight diagnostics of a seeded ``impute --method ebri`` report on an
-n = 300 sample, and the seeded ``rri`` imputed CSV.  The ebri report's
+n = 300 sample, the seeded ``rri`` imputed CSV, and the CSV and report of a
+seeded ``impute --method ebri --no-purity-vars`` on that sample.  The ebri report's
 donors, steps and fractional cells depend only on the flight's trajectory,
 not on how the split row's residual mix is rounded, so they are pinned
 exactly.  The sample is drawn with numpy alone, so the pins do not depend
@@ -74,6 +75,8 @@ imputed total: 218.33
 
 EBRI_SELECTION_SHA256 = "06b3a2797326acd5cfff6723750078604c03cbf451c8f9406a8b47f8bd3c655e"
 RRI_CSV_SHA256 = "d3f16bfdcc5b68b0815f6d8376fa639b0b616523519cc088e5906b6a97d0d7aa"
+NO_PURITY_CSV_SHA256 = "71fa2cace826d4979ac981360693483c819af731dbea8133ca0c2ad2041143e5"
+NO_PURITY_REPORT_SHA256 = "54a0c026092c968d8bf22bb79c8172d83d7c4b42f19b16fe993d49a514b946ce"
 
 
 def write_sample_300(path):
@@ -115,3 +118,15 @@ def test_impute_selection_and_rri_csv_pinned(tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert sha256(out.read_bytes()) == RRI_CSV_SHA256
+
+
+def test_impute_without_purity_vars_pinned(tmp_path, capsys):
+    # the one-balance-row flight of --no-purity-vars: 148 x 152 cells
+    src = tmp_path / "s.csv"
+    write_sample_300(src)
+    out, rep = tmp_path / "ebri.csv", tmp_path / "ebri.json"
+    assert main(["impute", "--input", str(src), "--method", "ebri", "--seed", "1103",
+                 "--no-purity-vars", "--out", str(out), "--report", str(rep)]) == 0
+    capsys.readouterr()
+    assert sha256(out.read_bytes()) == NO_PURITY_CSV_SHA256
+    assert sha256(rep.read_bytes()) == NO_PURITY_REPORT_SHA256

@@ -1,7 +1,7 @@
 """The stratified walk ``flight_phase`` takes on the problems ``build_cells``
 returns: its law and the invariants that define balanced imputation.
 
-It takes other trajectories than the general kernel on the same matrix, so
+No reference kernel walks the grid's matrix along the same trajectories, so
 these tests check what any flight phase of the grid must satisfy: every cell
 a martingale, the balance row exact, unit row sums and at most one split row.
 """
@@ -57,7 +57,7 @@ def test_grid_problem_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         CellGrid(np.array([1.5, -0.5]), np.arange(2.0), np.ones(2))
     with pytest.raises(ValueError, match="exactly one"):
-        BalanceProblem(pi0=np.full(6, 1 / 3), columns=grid.columns(), grid=grid)
+        BalanceProblem(pi0=np.full(6, 1 / 3), a_matrix=np.ones((1, 6)), grid=grid)
     with pytest.raises(ValueError, match="one entry per donor"):
         CellGrid(np.full(3, 1 / 3), np.arange(4.0), np.ones(2))
     with pytest.raises(ValueError, match="finite"):
@@ -92,7 +92,7 @@ def test_grid_walk_balances_unsnapped_start():
 
 def test_grid_walk_martingale():
     # t-statistics of every cell's mean against pi0, ties and a zero
-    # residual included, as criterion 3 does for the general kernel
+    # residual included, as criterion 3 does
     n_m, n_r = 4, 6
     residuals = np.array([0.8, -0.3, 0.8, 0.0, 1.7, -0.3])
     psi_row = np.random.default_rng(72).dirichlet(np.ones(n_r) * 3)

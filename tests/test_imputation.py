@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from flight_oracle import dense, grid_cells
+from flight_oracle import grid_cells
 
 from balimpute.estimators import imputed_total
 from balimpute.imputation import (
@@ -112,17 +112,16 @@ def test_build_cells_thompson_grid():
     assert problem.pi0 is None  # every row starts at psi_row
     assert np.all(problem.grid.psi_row == pytest.approx(1 / 6, rel=1e-12))
     assert problem.n_constraints == 5
-    assert not hasattr(problem, "a_matrix")
-    # the flight walks the grid; its matrix is built only on request
-    assert problem.columns is None
-    columns = problem.grid.columns()
-    a = dense(columns)
-    expected_row0 = np.outer(dv, fit.residuals[:6]).ravel()
-    np.testing.assert_array_equal(a[0], expected_row0)
-    assert a[1, :6].sum() == 6.0
-    assert a[1, 6:].sum() == 0.0
-    # two nonzeros per cell: its balance entry and its row's purity 1
-    assert np.array_equal(columns.col_ptr, np.arange(0, 2 * 24 + 1, 2))
+    # the flight walks the grid by its factors: no matrix is built
+    assert problem.a_matrix is None
+    np.testing.assert_array_equal(problem.grid.dv, dv)
+    np.testing.assert_array_equal(problem.grid.residuals, fit.residuals[:6])
+    # without purity variables, the one balance row dv_k e_l, cell by cell
+    problem = build_cells(fit.omega_tilde[:6], fit.residuals[:6], dv, with_purity_vars=False)
+    assert problem.n_constraints == 1
+    np.testing.assert_array_equal(problem.a_matrix[0],
+                                  np.outer(dv, fit.residuals[:6]).ravel())
+    np.testing.assert_array_equal(problem.pi0, np.tile(fit.omega_tilde[:6], 4))
 
 
 def test_balance_problem_memory_is_linear_in_cells():
