@@ -1,15 +1,16 @@
 """Cube-method flight phase for balanced random rounding.
 
-Given a vector pi0 in [0, 1]^M and a q x M balancing matrix A, the flight
-phase performs a random walk inside the cube that keeps A @ pi constant at
-every step and each coordinate a martingale, ending when the kernel of A
-restricted to the still-fractional coordinates is trivial.  At most q
-coordinates remain fractional.  Every step moves along a null vector of the
-restricted matrix to whichever box face it hits, choosing the sign with the
-probability that keeps every coordinate a martingale, snaps coordinates that
-reached a face, and consumes one uniform.
+Given a vector pi0 in [0, 1]^M and balancing constraints A pi = A pi0, the
+flight phase performs a random walk inside the cube that keeps A @ pi
+constant and each coordinate a martingale, ending when the kernel of A
+restricted to the still-fractional coordinates is trivial.  Every step
+moves along a null vector of the restricted constraints to whichever box
+face it hits, choosing the sign with the probability that keeps every
+coordinate a martingale, and snaps coordinates that reached a face.
 
-A problem states its matrix in one of two ways, and each has its own walk.
+The program builds two kinds of problem, each with its own walk: the
+imputation grid, whose n_m + 1 constraints the walk reads from their
+structure without forming A, and a single balancing row, a (1, M) A.
 
 **The imputation grid** (``CellGrid``): n_m nonrespondent rows by n_r donor
 columns, cell (k, l) starting at psi_l.  The matrix is one balance row

@@ -47,11 +47,27 @@ def quantile(y_population: npt.NDArray[np.float64], alpha: float) -> float:
     y = np.asarray(y_population, dtype=np.float64)
     if y.size == 0:
         raise ValueError("empty population")
+    return _sorted_quantile(np.sort(y), alpha)
+
+
+def _sorted_quantile(ys: npt.NDArray[np.float64], alpha: float) -> float:
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    ys = np.sort(y)
-    idx = int(np.ceil(alpha * y.size)) - 1
+    idx = int(np.ceil(alpha * ys.size)) - 1
     return float(ys[max(idx, 0)])
+
+
+def population_truths(y_population: npt.NDArray[np.float64],
+                      alphas) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(t_alpha, F_N(t_alpha)) for each alpha, from one sort of y: the
+    values of ``quantile`` and ``fn_population``, bit for bit."""
+    ys = np.sort(np.asarray(y_population, dtype=np.float64))
+    if ys.size == 0:
+        raise ValueError("empty population")
+    t_alpha = tuple(_sorted_quantile(ys, a) for a in alphas)
+    # the count of y <= t over N, the division fn_population's mean makes
+    counts = np.searchsorted(ys, t_alpha, side="right").tolist()
+    return t_alpha, tuple(c / ys.size for c in counts)
 
 
 def fhat(

@@ -9,6 +9,7 @@ independent of how replicates are distributed over workers.
 """
 
 import contextlib
+import csv
 import json
 import logging
 import os
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .cube import FlightPhaseError
-from .estimators import fn_population, imputed_fhat, imputed_total, quantile
+from .estimators import imputed_fhat, imputed_total, population_truths
 from .imputation import (
     Mcar,
     calibrate_mar,
@@ -29,7 +30,7 @@ from .imputation import (
     impute_ebri,
     impute_rri,
 )
-from .population import PopulationRecipe, generate_population
+from .population import PopulationRecipe, draw_sizes, generate_population
 from .regression import NoRespondentsError, fit_model
 from .sampling import (
     RejectiveDesign,
@@ -290,40 +291,76 @@ def _run_worker_chunk(args):
     return _run_chunk(_worker_population, args)
 
 
+def _response_mechanisms(config: ExperimentConfig, z1, out=None) -> list:
+    """The response mechanism of each cell; MAR ones are calibrated on the
+    population sizes z1, into the buffer ``out`` when it is given."""
+    mechanisms = []
+    for spec in config.mechanisms:
+        if spec.kind == "mcar":
+            mechanisms.append(Mcar(spec.level))
+        elif spec.kind == "mar":
+            mechanisms.append(calibrate_mar(z1, config.mar_lambda1, spec.level, out=out))
+        else:
+            mechanisms.append(None)
+    return mechanisms
+
+
+def _set_up(config: ExperimentConfig, ip: int, workers: int):
+    """Population ``ip``: its arrays and design for the replicates, its
+    truths (theta_total, t_alpha, theta_f) and its cells' mechanisms.
+
+    MAR calibration needs only the sizes z1.  With more than one worker it
+    runs on a helper thread while this thread draws the noise and sets up
+    the truths and the design.  It writes phi into a buffer allocated
+    here, so that the thread allocates no N-sized array: glibc keeps what
+    a thread frees in that thread's arena, where it stays resident, and
+    forked pool workers inherit it.  The thread has ended when this
+    returns, before any pool forks.  With one worker every stage runs on
+    this thread, one after the other.
+    """
+    recipe = config.populations[ip]
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(ip,)))
+    calibrated = None
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            pop = generate_population(recipe, rng)
+        else:
+            # imported here, so that importing the package does not load it
+            from concurrent.futures import ThreadPoolExecutor
+
+            z1 = draw_sizes(recipe, rng)
+            helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+            calibrated = helper.submit(_response_mechanisms, config, z1, np.empty_like(z1))
+            pop = generate_population(recipe, rng, z1=z1)
+        truths = (float(pop.y.sum()), *population_truths(pop.y, config.alphas))
+        design = None
+        if config.design == "pips-rejective":
+            design = RejectiveDesign(pips_probabilities(pop.z1, config.sample_size))
+    if calibrated is None:
+        mechanisms = _response_mechanisms(config, pop.z1)
+    else:
+        mechanisms = calibrated.result()
+    return (pop.z1, pop.y, pop.v, design), truths, mechanisms
+
+
 def run_experiment(config: ExperimentConfig) -> MonteCarloResult:
     t_start = time.perf_counter()
     workers = config.resolved_workers()
-    n = config.sample_size
     cells = []
 
-    for ip, recipe in enumerate(config.populations):
-        rng_pop = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(ip,)))
-        pop = generate_population(recipe, rng_pop)
-        theta_total = float(pop.y.sum())
-        t_alpha = tuple(quantile(pop.y, a) for a in config.alphas)
-        theta_f = tuple(float(fn_population(pop.y, t)) for t in t_alpha)
-        design = None
-        if config.design == "pips-rejective":
-            design = RejectiveDesign(pips_probabilities(pop.z1, n))
-        population = (pop.z1, pop.y, pop.v, design)
+    for ip in range(len(config.populations)):
+        population, (theta_total, t_alpha, theta_f), mechanisms = _set_up(config, ip, workers)
 
         executor = contextlib.nullcontext()  # enters as None: chunks run here
         if workers > 1:
             executor = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                            initargs=(population,))
         with executor as pool:
-            for im, mech_spec in enumerate(config.mechanisms):
-                if mech_spec.kind == "mcar":
-                    mechanism = Mcar(mech_spec.level)
-                elif mech_spec.kind == "mar":
-                    mechanism = calibrate_mar(pop.z1, config.mar_lambda1, mech_spec.level)
-                else:
-                    mechanism = None
-
+            for im, (mech_spec, mechanism) in enumerate(zip(config.mechanisms, mechanisms)):
                 reps = list(range(config.replications))
                 chunk = min(64, -(-len(reps) // workers))  # ceiling division
-                chunk_args = [(n, mechanism, config.methods, t_alpha, config.seed, ip, im,
-                               reps[start : start + chunk])
+                chunk_args = [(config.sample_size, mechanism, config.methods, t_alpha,
+                               config.seed, ip, im, reps[start : start + chunk])
                               for start in range(0, len(reps), chunk)]
                 if pool is None:
                     chunk_results = (_run_chunk(population, args) for args in chunk_args)
@@ -401,9 +438,6 @@ def _fmt(x: float) -> str:
 def write_tables(result: MonteCarloResult, outdir) -> None:
     """table_total.csv and table_df.csv: rows (population, [alpha,] metric),
     one column per mechanism x method; plus run_meta.json."""
-    import csv
-    import os
-
     cfg = result.config
     os.makedirs(outdir, exist_ok=True)
     combos = [(m.label, meth) for m in cfg.mechanisms for meth in cfg.methods]

@@ -71,8 +71,11 @@ class Mar:
         if not (np.isfinite(self.lambda0) and np.isfinite(self.lambda1)):
             raise ValueError("logistic coefficients must be finite")
 
-    def probabilities(self, z1: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-        x = self.lambda0 + self.lambda1 * np.asarray(z1, dtype=np.float64)
+    def probabilities(self, z1: npt.NDArray[np.float64],
+                      out: npt.NDArray[np.float64] | None = None) -> npt.NDArray[np.float64]:
+        """phi for each unit, written into ``out`` when it is given."""
+        x = np.multiply(self.lambda1, np.asarray(z1, dtype=np.float64), out=out)
+        x += self.lambda0
         # expit(x) = (1 + tanh(x / 2)) / 2: stable for any x, without masks
         x *= 0.5
         np.tanh(x, out=x)
@@ -93,7 +96,8 @@ def generate_response(
 
 
 def calibrate_mar(
-    z1_population: npt.NDArray[np.float64], lambda1: float, target_mean: float
+    z1_population: npt.NDArray[np.float64], lambda1: float, target_mean: float,
+    out: npt.NDArray[np.float64] | None = None,
 ) -> Mar:
     """Find lambda0 so the population mean response probability hits target.
 
@@ -101,14 +105,16 @@ def calibrate_mar(
     mean(phi (1 - phi)).  Once a bracket is found, each pass over z1 gives
     the mean and its slope: a Newton step that stays inside the bracket is
     taken, any other is replaced by the bracket's midpoint.  Stops once the
-    mean is within MAR_CALIBRATION_TOL of the target.
+    mean is within MAR_CALIBRATION_TOL of the target.  Each pass writes phi
+    into ``out`` when it is given, an array shaped like z1; the result does
+    not depend on it.
     """
     z1 = np.asarray(z1_population, dtype=np.float64)
     if not 0.0 < target_mean < 1.0:
         raise ValueError("target mean response must lie strictly inside (0, 1)")
 
     def mean_and_slope(l0: float) -> tuple[float, float]:
-        phi = Mar(l0, lambda1).probabilities(z1)
+        phi = Mar(l0, lambda1).probabilities(z1, out=out)
         mean = float(phi.mean())
         return mean, mean - float(np.einsum("i,i->", phi, phi)) / phi.size
 

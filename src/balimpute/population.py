@@ -113,15 +113,32 @@ class PopulationRecipe:
         return cls(n_units=int(d["n_units"]), **optional)
 
 
-def generate_population(recipe: PopulationRecipe, rng: np.random.Generator) -> Population:
-    """Draw a population from the recipe, with v = z1."""
+def draw_sizes(recipe: PopulationRecipe, rng: np.random.Generator) -> npt.NDArray[np.float64]:
+    """The sizes z1 of a population, the first of ``generate_population``'s draws."""
     z1 = rng.gamma(recipe.gamma_shape, recipe.gamma_scale, size=recipe.n_units)
     # gamma variates are almost surely positive; guard the measure-zero edge
-    z1 = np.maximum(z1, np.finfo(np.float64).tiny)
+    return np.maximum(z1, np.finfo(np.float64).tiny, out=z1)
+
+
+def generate_population(recipe: PopulationRecipe, rng: np.random.Generator,
+                        z1: npt.NDArray[np.float64] | None = None) -> Population:
+    """Draw a population from the recipe, with v = z1.
+
+    ``z1``, when given, must be ``draw_sizes(recipe, rng)`` drawn from this
+    same ``rng`` just before: the population is then the one a call without
+    it would have drawn, and a caller can use the sizes before the noise is
+    drawn.
+    """
+    if z1 is None:
+        z1 = draw_sizes(recipe, rng)
     sigma2 = recipe.noise_variance()
     eps = rng.normal(0.0, np.sqrt(sigma2), size=recipe.n_units) if sigma2 > 0 else np.zeros(recipe.n_units)
-    b1 = recipe.beta[0]
-    y = b1 * z1 + np.sqrt(z1) * eps
+    # y = b1 z1 + sqrt(z1) eps, bit for bit, written into eps: one N-sized
+    # temporary where the plain expression makes three
+    s = np.sqrt(z1)
+    s *= eps
+    y = np.multiply(recipe.beta[0], z1, out=eps)
+    y += s
     return Population(y=y, v=z1, z1=z1)
 
 

@@ -96,9 +96,14 @@ def pips_probabilities(z1: npt.NDArray[np.float64], n: int) -> npt.NDArray[np.fl
     if not 0 < n <= z1.size:
         raise ValueError(f"need 0 < n <= {z1.size}, got {n}")
 
-    pi = np.empty_like(z1)
+    # the first round, with no unit capped, needs no masked copies
+    pi = n * z1
+    pi /= z1.sum()
+    newly = pi >= 1.0
     capped = np.zeros(z1.size, dtype=bool)
-    while True:
+    while newly.any():
+        pi[newly] = 1.0
+        capped |= newly
         budget = n - int(capped.sum())
         rest = ~capped
         if budget == 0:
@@ -106,10 +111,6 @@ def pips_probabilities(z1: npt.NDArray[np.float64], n: int) -> npt.NDArray[np.fl
             break
         pi[rest] = budget * z1[rest] / z1[rest].sum()
         newly = rest & (pi >= 1.0)
-        if not newly.any():
-            break
-        pi[newly] = 1.0
-        capped |= newly
     if np.any(pi <= 0):
         # budget exhausted by capped units; remaining units would need pi = 0
         raise ValueError("capping exhausted the sample size; n too small for these sizes")

@@ -7,6 +7,7 @@ from balimpute.estimators import (
     ht_total,
     imputed_total,
     nhat,
+    population_truths,
     quantile,
 )
 from balimpute.imputation import impute_dri
@@ -48,6 +49,19 @@ def test_quantile_validation():
         quantile(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         quantile(np.array([1.0]), 1.1)
+
+
+def test_population_truths_match_quantile_and_fn():
+    alphas = (0.25, 0.5, 0.3, 1.0, 1e-9)
+    y_tied = np.repeat(np.arange(1.0, 11.0), 3)  # the truths sit on ties
+    y_gamma = np.random.default_rng(8).gamma(2.0, 5.0, size=10_001)
+    for y in (y_tied, y_gamma):
+        t_alpha, theta_f = population_truths(y, alphas)
+        assert t_alpha == tuple(quantile(y, a) for a in alphas)
+        assert theta_f == tuple(float(fn_population(y, t)) for t in t_alpha)
+    assert population_truths(y_tied, ()) == ((), ())
+    with pytest.raises(ValueError):
+        population_truths(y_tied, (0.0,))
 
 
 def test_fhat_census_matches_fn():

@@ -1,11 +1,15 @@
+import concurrent.futures
 import logging
 import pickle
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from balimpute import harness
 from balimpute.cube import FlightPhaseError
+from balimpute.imputation import calibrate_mar
 from balimpute.harness import (
     ExperimentConfig,
     MechanismSpec,
@@ -335,3 +339,63 @@ def test_write_tables_layout(tmp_path):
     df = (tmp_path / "table_df.csv").read_text().strip().splitlines()
     assert len(df) == 1 + 2 * 2 * 2  # populations x alphas x (rb, re)
     assert (tmp_path / "run_meta.json").exists()
+
+
+def mixed_config(**overrides):
+    # two MAR levels and one MCAR level: with two workers the MAR levels
+    # are calibrated on the helper thread, one after the other
+    return tiny_config(
+        populations=(PopulationRecipe(n_units=20_000, beta=(1.0,), target_r2=0.36),),
+        mechanisms=(MechanismSpec("mar", 0.75), MechanismSpec("mcar", 0.5),
+                    MechanismSpec("mar", 0.5)),
+        replications=6,
+        **overrides,
+    )
+
+
+def test_calibration_thread_gives_identical_tables(tmp_path, monkeypatch):
+    seen = []
+    real = harness.calibrate_mar
+
+    def recording(z1, lambda1, target_mean, out=None):
+        seen.append((threading.current_thread() is threading.main_thread(), out is not None))
+        return real(z1, lambda1, target_mean, out=out)
+
+    monkeypatch.setattr(harness, "calibrate_mar", recording)
+    for workers in (1, 2):
+        write_tables(run_experiment(mixed_config(workers=workers)), tmp_path / str(workers))
+    # one worker calibrates on the main thread, two on the helper, into the
+    # main thread's buffer
+    assert seen == [(True, False)] * 2 + [(False, True)] * 2
+    for name in ("table_total.csv", "table_df.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_no_thread_is_alive_when_the_pool_starts(monkeypatch):
+    threads_at_start = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            threads_at_start.append(threading.active_count())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    before = threading.active_count()
+    cell = run_experiment(mixed_config(workers=2)).cell(0, "mar0.5")
+    assert cell.n_ok == 6
+    assert threads_at_start == [before]
+    assert threading.active_count() == before
+
+
+def test_calibrate_mar_into_a_buffer():
+    z1 = np.random.default_rng(4).gamma(2.0, 5.0, size=200_000)
+    buffer = np.empty_like(z1)
+    tracemalloc.start()
+    try:
+        with_buffer = calibrate_mar(z1, 0.1, 0.9, out=buffer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert with_buffer == calibrate_mar(z1, 0.1, 0.9)
+    # every pass writes phi into the buffer: no array of z1's length is made
+    assert peak < z1.nbytes / 10, peak

@@ -4,6 +4,7 @@ import pytest
 from balimpute.population import (
     Population,
     PopulationRecipe,
+    draw_sizes,
     generate_population,
     load_thompson_example,
     population_from_csv,
@@ -63,6 +64,23 @@ def test_generate_deterministic():
     a = generate_population(recipe, np.random.default_rng(5))
     b = generate_population(recipe, np.random.default_rng(5))
     assert np.array_equal(a.y, b.y) and np.array_equal(a.z1, b.z1)
+
+
+@pytest.mark.parametrize("b1", [1.0, 0.7, 2.5])
+def test_sizes_drawn_first_give_the_same_population(b1):
+    # the draws in their documented order, y formed as b1 z1 + sqrt(z1) eps
+    recipe = PopulationRecipe(n_units=5_000, beta=(b1,), target_r2=0.36)
+    pop = generate_population(recipe, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    z1 = np.maximum(rng.gamma(2.0, 5.0, size=5_000), np.finfo(np.float64).tiny)
+    eps = rng.normal(0.0, np.sqrt(recipe.noise_variance()), size=5_000)
+    assert np.array_equal(pop.z1, z1)
+    assert np.array_equal(pop.y, b1 * z1 + np.sqrt(z1) * eps)
+    rng = np.random.default_rng(21)
+    sizes = draw_sizes(recipe, rng)
+    split = generate_population(recipe, rng, z1=sizes)
+    assert split.z1 is sizes
+    assert np.array_equal(split.y, pop.y)
 
 
 def test_zero_noise_reproduces_signal():

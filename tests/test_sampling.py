@@ -41,6 +41,35 @@ def test_pips_census():
     assert np.array_equal(pi, np.ones(3))
 
 
+def masked_pips(z1, n):
+    """The capping loop as it was before its first round lost the masked
+    copies, kept as the reference."""
+    pi = np.empty_like(z1)
+    capped = np.zeros(z1.size, dtype=bool)
+    while True:
+        budget = n - int(capped.sum())
+        rest = ~capped
+        if budget == 0:
+            pi[rest] = 0.0
+            break
+        pi[rest] = budget * z1[rest] / z1[rest].sum()
+        newly = rest & (pi >= 1.0)
+        if not newly.any():
+            break
+        pi[newly] = 1.0
+        capped |= newly
+    return pi
+
+
+def test_pips_equals_masked_loop():
+    rng = np.random.default_rng(12)
+    cases = [(rng.gamma(2.0, 5.0, size=100_000), n) for n in (1, 100, 5_000)]
+    cases += [(rng.pareto(1.2, size=300) + 0.01, n) for n in (3, 30, 150)]  # capped
+    cases += [(np.array([100.0, 10.0, 1.0, 1.0, 1.0, 1.0]), 3), (np.array([5.0, 1.0, 0.1]), 3)]
+    for z, n in cases:
+        assert np.array_equal(pips_probabilities(z, n), masked_pips(z, n)), (z.size, n)
+
+
 def test_pips_validation():
     with pytest.raises(ValueError):
         pips_probabilities(np.array([1.0, -1.0]), 1)
