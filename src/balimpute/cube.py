@@ -6,11 +6,13 @@ constant and each coordinate a martingale, ending when the kernel of A
 restricted to the still-fractional coordinates is trivial.  Every step
 moves along a null vector of the restricted constraints to whichever box
 face it hits, choosing the sign with the probability that keeps every
-coordinate a martingale, and snaps coordinates that reached a face.
+coordinate a martingale, and sets the coordinate that bounds the step to
+that face.
 
-The program builds two kinds of problem, each with its own walk: the
-imputation grid, whose n_m + 1 constraints the walk reads from their
-structure without forming A, and a single balancing row, a (1, M) A.
+The program builds two kinds of problem: the imputation grid, whose
+n_m + 1 constraints the walk reads from their structure without forming A,
+and a single balancing row, a (1, M) A.  One walk steps every single
+balancing row, the grid's second phase included.
 
 **The imputation grid** (``CellGrid``): n_m nonrespondent rows by n_r donor
 columns, cell (k, l) starting at psi_l.  The matrix is one balance row
@@ -40,9 +42,8 @@ closed-form null vector, so no step eliminates:
    the smallest size;
 2. across the rows left split, each has one free variable t_k = x_ka with
    x_kb = 1 - t_k, and the balance row reads sum_k c_k t_k = const with
-   c_k = dv_k (e_a - e_b).  A row with c_k = 0 steps alone along (1, -1);
-   the others take the one-constraint flight, the last two rows i, j
-   stepping along t_i : t_j = c_j : -c_i.  At most one row stays split.
+   c_k = dv_k (e_a - e_b): one balancing row on (t, c), which the one-row
+   walk below takes.  At most one row stays split.
 
 The walk never holds the n_m x n_r cells: it ends with two donors and
 their shares per row, read from the components phase 1 picks and from the
@@ -59,34 +60,36 @@ share dv_k ebar of the balance row whichever component it takes; and the
 weights reproduce psi, so E[x_kl] = psi_l.  Phase 1 is thus a flight of
 each stratum drawn in one step, not a walk: it ends where the within-row
 walk of Chauvet's method can end, on one donor or on two that straddle
-ebar.  The null vector of phase 2 is an identity in e, not the output of
-an elimination, so no pivot tolerance decides anything and the balance
-holds to rounding whatever the residuals.  Each step of phase 2 is a
-martingale step in the kernel of the full matrix restricted to the
-fractional cells, so the walk is a flight phase of the grid problem: it
-keeps the balance row and every row sum, and E[itilde] = pi0.  Phase 1
-uses one uniform per row and each step of phase 2 fixes a split row, so
-there are at most 2 n_m steps.  A direction entry within DIRECTION_GUARD
-of 0, relative to the direction's largest entry, is not moved.
+ebar.  Each step of phase 2 is a martingale step in the kernel of the full
+matrix restricted to the fractional cells, so the walk is a flight phase
+of the grid problem: it keeps the balance row and every row sum, and
+E[itilde] = pi0.  Phase 1 uses one uniform per row and each step of
+phase 2 fixes a split row, so there are at most 2 n_m steps.
 
 **One balancing row** (a (1, M) ``a_matrix``, as ``build_cells`` gives
-without purity variables) is walked from pi0 itself, one uniform per step.
-Each step reads the two lowest fractional cells c1 < c2, the window of
-Chauvet & Tille (2006) at q = 1, and takes the first null vector a
-Gauss-Jordan elimination of the restricted row gives under that order:
+without purity variables, or phase 2's (t, c)) is walked from its start
+itself, one uniform per step.  Each step reads the two lowest fractional
+cells c1 < c2, the window of Chauvet & Tille (2006) at q = 1, and takes the
+first null vector a Gauss-Jordan elimination of the restricted row gives
+under that order:
 
 1. when one fractional cell is left and its a is not 0, the restricted
    kernel is trivial and the walk stops;
-2. when a[c1] = 0, or |a[c1]| <= PIVOT_RTOL max(|a[c1]|, |a[c2]|), c1 is
-   no pivot and steps alone along (1); so does a lone last cell with a = 0;
-3. otherwise c2 and c1 step along (1, -a[c2] / a[c1]).
+2. when a[c1] == 0, c1 is no pivot and steps alone along (1); so does a
+   lone last cell with a = 0;
+3. otherwise c1 and c2 step along (-a[c2] / a[c1], 1).
 
-A cell the step takes to a face is snapped to it against rounding, within
-INTEGER_SNAP_TOL of its own move; a cell that merely ends near a face, as
-one that starts within INTEGER_SNAP_TOL of it may, keeps its value.  So
-the walk balances pi0 to rounding, not a start snapped to the faces.  The fractional cells are kept in
-a list in descending index order, so the window is its tail and the cells
-a step fixes are dropped in place.
+The null vector is one ratio of two entries of the row, and a cell steps
+alone only when its entry is exactly 0, so no pivot tolerance decides
+anything, in either walk, and the balance holds to rounding whatever the
+entries.  The cell whose bound sets the step length, the lower one on a
+tie, is set to its face; the other moves and is clamped to [0, 1].  So
+every step fixes a cell, no tolerance decides which, and a cell that
+merely ends near a face, as one that starts near it may, keeps its value:
+the walk balances its start to rounding, not a start snapped to the faces.
+A direction entry within DIRECTION_GUARD of 0 is not moved.  The
+fractional cells are kept in a list in descending index order: each step
+pops its window off the tail and puts back the cells it leaves fractional.
 """
 
 import math
@@ -96,7 +99,6 @@ import numpy as np
 import numpy.typing as npt
 
 INTEGER_SNAP_TOL = 1e-9
-PIVOT_RTOL = 1e-10
 DIRECTION_GUARD = 1e-14
 
 
@@ -129,7 +131,8 @@ class CellGrid:
         psi = self.psi_row
         # each row holds one unit of donation weight, which the walk splits
         # over at most two donors
-        if not (np.all((psi >= 0.0) & (psi <= 1.0)) and abs(psi.sum() - 1.0) <= INTEGER_SNAP_TOL):
+        if not (np.all((psi >= 0.0) & (psi <= 1.0))
+                and abs(psi.sum() - 1.0) <= INTEGER_SNAP_TOL):
             raise ValueError("psi_row must be weights in [0, 1] that sum to 1")
 
     @property
@@ -209,57 +212,6 @@ class FlightResult:
         return int(np.count_nonzero(self.fractional))
 
 
-def _step(x, window, u, t, guard, by_move=False):
-    """One martingale step.  ``window`` holds (cell, x[cell], direction
-    entry) triples; the cells move along the direction to the face of the
-    unit box it hits going up or going down, going up with the probability
-    that keeps every cell a martingale.  A cell that ends within
-    INTEGER_SNAP_TOL of a face is snapped to it; with ``by_move``, within
-    INTEGER_SNAP_TOL times its own move, which catches the rounding of a
-    cell the step takes to a face but leaves a cell that merely ends near
-    one where it is.  Entries within ``guard`` of 0 stay put.  Returns the
-    window's cells still fractional, in window order.  Raises
-    FlightPhaseError at a degenerate step length or when no cell reaches a
-    face."""
-    lam1 = lam2 = math.inf
-    for _, cur, val in window:
-        if val > guard:
-            c1 = (1.0 - cur) / val
-            c2 = cur / val
-        elif val < -guard:
-            c1 = cur / (-val)
-            c2 = (1.0 - cur) / (-val)
-        else:
-            continue
-        if c1 < lam1:
-            lam1 = c1
-        if c2 < lam2:
-            lam2 = c2
-    # neither bound can be NaN or negative: both start at inf and only fall
-    if not (0.0 < lam1 < math.inf and 0.0 < lam2 < math.inf):
-        raise FlightPhaseError(f"degenerate step length at step {t}")
-
-    step = lam1 if u < lam2 / (lam1 + lam2) else -lam2
-
-    eps_int = INTEGER_SNAP_TOL
-    kept = []
-    for k, cur, val in window:
-        if val > guard or val < -guard:
-            move = step * val
-            cur += move
-            tol = eps_int * abs(move) if by_move else eps_int
-            if abs(cur) <= tol:
-                cur = 0.0
-            elif abs(cur - 1.0) <= tol:
-                cur = 1.0
-            x[k] = cur
-        if 0.0 < cur < 1.0:
-            kept.append(k)
-    if len(kept) == len(window):
-        raise FlightPhaseError(f"no coordinate fixed at step {t + 1}")
-    return kept
-
-
 def _splitting(psi: npt.NDArray[np.float64], e: npt.NDArray[np.float64]):
     """Phase 1's decomposition of the module docstring: psi on its free
     donors as a mixture of one- and two-point measures, each with
@@ -329,7 +281,6 @@ def _grid_walk(grid: CellGrid, rng: np.random.Generator):
     """The two-phase walk of the module docstring.  Returns each row's two
     donors and their shares, (n_m, 2) each, and the step count; draws one
     uniform per step from rng."""
-    guard = DIRECTION_GUARD
     n_m = grid.n_rows
     psi, e = grid.psi_row, grid.residuals
     whole = np.flatnonzero(psi == 1.0)
@@ -343,62 +294,75 @@ def _grid_walk(grid: CellGrid, rng: np.random.Generator):
                       w.size - 1)
     donors = np.column_stack((lo[pick], hi[pick]))
     shares = np.column_stack((x_lo[pick], x_hi[pick]))
-    t = n_m
 
-    # phase 2: one constraint, sum_k c_k x_ka, over the split rows; split
-    # row i holds its two cells at 2i and 2i + 1 of xs
+    # phase 2: the one-row walk on the split rows' first shares t_k, under
+    # c_k = dv_k (e_a - e_b); the second shares are 1 - t_k
     rows = np.flatnonzero((shares[:, 0] > 0.0) & (shares[:, 0] < 1.0))
-    xs = shares[rows].ravel().tolist()
-    c = (grid.dv[rows] * (e[donors[rows, 0]] - e[donors[rows, 1]])).tolist()
-    uniform = rng.random
-    pairs = []
-    for i, c_k in enumerate(c):
-        if c_k == 0.0:
-            _step(xs, ((2 * i, xs[2 * i], 1.0), (2 * i + 1, xs[2 * i + 1], -1.0)), uniform(),
-                  t, guard)
-            t += 1
-        else:
-            pairs.append((2 * i, 2 * i + 1, c_k))
-    while len(pairs) > 1:
-        (a_i, b_i, c_i), (a_j, b_j, c_j) = pairs[-2:]
-        kept = _step(xs, ((a_i, xs[a_i], c_j), (b_i, xs[b_i], -c_j),
-                          (a_j, xs[a_j], -c_i), (b_j, xs[b_j], c_i)),
-                     uniform(), t, guard * max(abs(c_i), abs(c_j)))
-        t += 1
-        pairs[-2:] = [p for p in pairs[-2:] if p[0] in kept and p[1] in kept]
-    shares[rows] = np.array(xs).reshape(-1, 2)
-    return donors, shares, t
+    c = grid.dv[rows] * (e[donors[rows, 0]] - e[donors[rows, 1]])
+    t, steps = _row_walk(c, shares[rows, 0], rng, n_m)
+    shares[rows, 0] = t
+    shares[:, 1] = 1.0 - shares[:, 0]
+    return donors, shares, steps
 
 
 def _row_walk(a: npt.NDArray[np.float64], pi: npt.NDArray[np.float64],
-              rng: np.random.Generator) -> tuple[list[float], int]:
-    """The one-row walk of the module docstring from ``pi``; returns the end
-    point and the step count, drawing one uniform per step from rng."""
-    pivot_rtol = PIVOT_RTOL
+              rng: np.random.Generator, t: int = 0) -> tuple[list[float], int]:
+    """The one-row walk of the module docstring from ``pi``, its steps
+    numbered from ``t``; returns the end point and the number after the
+    last step, drawing one uniform per step from rng.  Raises
+    FlightPhaseError at a degenerate step length."""
+    guard = DIRECTION_GUARD
     a = a.tolist()
     x = pi.tolist()
     # descending, so the two lowest fractional cells are the tail
     free = np.flatnonzero((pi > 0.0) & (pi < 1.0))[::-1].tolist()
     uniform = rng.random
-    t = 0
     while free:
-        c1 = free[-1]
-        c2 = free[-2] if len(free) > 1 else c1
-        a1, a2 = a[c1], a[c2]
-        if abs(a1) <= pivot_rtol * max(abs(a1), abs(a2)):
-            window = ((c1, x[c1], 1.0),)  # no pivot: c1 alone is a null vector
-        elif c2 == c1:
+        c1 = free.pop()
+        if a[c1] == 0.0:
+            window = ((c1, 1.0),)  # no pivot: c1 alone is a null vector
+        elif not free:
             break
         else:
-            window = ((c2, x[c2], 1.0), (c1, x[c1], -(a2 / a1)))
-        free[-len(window):] = _step(x, window, uniform(), t, DIRECTION_GUARD, True)
+            c2 = free.pop()
+            window = ((c1, -(a[c2] / a[c1])), (c2, 1.0))
+        u = uniform()
+        # the step's length going up and going down, and the cell and face
+        # that set each; the first cell in window order wins a tie
+        lam1 = lam2 = math.inf
+        for k, val in window:
+            cur = x[k]
+            if val > guard:
+                up, down, face = (1.0 - cur) / val, cur / val, 1.0
+            elif val < -guard:
+                up, down, face = cur / -val, (1.0 - cur) / -val, 0.0
+            else:
+                continue
+            if up < lam1:
+                lam1, hit_up, face_up = up, k, face
+            if down < lam2:
+                lam2, hit_down, face_down = down, k, 1.0 - face
+        # neither bound can be NaN or negative: both start at inf and only fall
+        if not (0.0 < lam1 < math.inf and 0.0 < lam2 < math.inf):
+            raise FlightPhaseError(f"degenerate step length at step {t}")
+        if u < lam2 / (lam1 + lam2):
+            step, hit, face = lam1, hit_up, face_up
+        else:
+            step, hit, face = -lam2, hit_down, face_down
+        for k, val in window:
+            if val > guard or val < -guard:
+                x[k] = min(max(x[k] + step * val, 0.0), 1.0)
+        x[hit] = face
+        for k, _ in reversed(window):  # back onto the tail, descending
+            if 0.0 < x[k] < 1.0:
+                free.append(k)
         t += 1
     return x, t
 
 
 def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightResult:
     """Run the flight phase.  Raises FlightPhaseError when a step has a
-    degenerate length or fixes no coordinate.
+    degenerate length.
 
     The walk draws one uniform per step as it takes it, so ``steps`` in all:
     on a grid n_m for phase 1, then one per step of phase 2, and none when

@@ -132,7 +132,8 @@ def generate_population(recipe: PopulationRecipe, rng: np.random.Generator,
     if z1 is None:
         z1 = draw_sizes(recipe, rng)
     sigma2 = recipe.noise_variance()
-    eps = rng.normal(0.0, np.sqrt(sigma2), size=recipe.n_units) if sigma2 > 0 else np.zeros(recipe.n_units)
+    eps = (rng.normal(0.0, np.sqrt(sigma2), size=recipe.n_units) if sigma2 > 0
+           else np.zeros(recipe.n_units))
     # y = b1 z1 + sqrt(z1) eps, bit for bit, written into eps: one N-sized
     # temporary where the plain expression makes three
     s = np.sqrt(z1)

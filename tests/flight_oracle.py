@@ -3,10 +3,12 @@
 ``_flight_numpy`` is the dense-matrix flight kernel for any q x M balancing
 matrix: it copies the q + 1 window of the matrix and runs a batch
 Gauss-Jordan elimination on it every step, and reports how it ended by one
-of the status codes below.  The package walks one balancing row only, and
-must reproduce ``_flight_numpy`` at q = 1 bit for bit.  Like the package
-walk, it starts at pi itself and snaps a cell to a face only within
-``eps_int`` times that cell's move.  ``grid_cells`` expands the row-sparse
+of the status codes below.  The package steps one balancing row only, both
+on a (1, M) matrix and in the grid walk's second phase, and must reproduce
+``_flight_numpy`` at q = 1 and ``pivot_rtol = 0`` bit for bit.  Like the
+package walk, it starts at pi itself, sets the cell whose bound sets the
+step length (the first in window order on a tie) to its face, and clamps
+every other moved cell to [0, 1].  ``grid_cells`` expands the row-sparse
 end point of a grid walk or donor selection for the tests that read cells.
 """
 
@@ -14,7 +16,6 @@ import numpy as np
 
 FLIGHT_OK = 0
 FLIGHT_DEGENERATE = 1
-FLIGHT_STALLED = 2
 FLIGHT_NO_RANDOMNESS = 3
 
 
@@ -27,7 +28,7 @@ def grid_cells(donors, shares, n_donors):
     return x
 
 
-def _flight_numpy(pi, a, u, eps_int, pivot_rtol, lam_guard, record, history):
+def _flight_numpy(pi, a, u, pivot_rtol, lam_guard, record, history):
     q, m = a.shape
 
     free = np.flatnonzero((pi > 0.0) & (pi < 1.0)).astype(np.int64)
@@ -83,23 +84,22 @@ def _flight_numpy(pi, a, u, eps_int, pivot_rtol, lam_guard, record, history):
 
         if t >= u.shape[0]:
             return FLIGHT_NO_RANDOMNESS, t
-        step = lam1 if u[t] < lam2 / (lam1 + lam2) else -lam2
+        if u[t] < lam2 / (lam1 + lam2):
+            step, hit = lam1, int(up.argmin())
+            face = 1.0 if vals[hit] > 0.0 else 0.0
+        else:
+            step, hit = -lam2, int(dn.argmin())
+            face = 0.0 if vals[hit] > 0.0 else 1.0
 
         kidx = window[sup]
-        move = step * vals
-        x = pi[kidx] + move
-        tol = eps_int * np.abs(move)
-        x[np.abs(x) <= tol] = 0.0
-        x[np.abs(x - 1.0) <= tol] = 1.0
+        x = np.clip(pi[kidx] + step * vals, 0.0, 1.0)
+        x[hit] = face
         pi[kidx] = x
 
         t += 1
         if record:
             history[t] = pi
 
-        keep = (pi[free] > 0.0) & (pi[free] < 1.0)
-        if keep.all():
-            return FLIGHT_STALLED, t
-        free = free[keep]
+        free = free[(pi[free] > 0.0) & (pi[free] < 1.0)]
 
     return FLIGHT_OK, t

@@ -7,8 +7,6 @@ from flight_oracle import _flight_numpy
 from balimpute import cube
 from balimpute.cube import (
     DIRECTION_GUARD,
-    INTEGER_SNAP_TOL,
-    PIVOT_RTOL,
     BalanceProblem,
     FlightPhaseError,
     flight_phase,
@@ -29,8 +27,8 @@ def walk_states(problem, rng):
     u = copy.deepcopy(rng).random(problem.n_cells)
     res = flight_phase(problem, rng)
     history = np.empty((problem.n_cells + 1, problem.n_cells))
-    _, steps = _flight_numpy(problem.pi0.copy(), problem.a_matrix, u, INTEGER_SNAP_TOL,
-                             PIVOT_RTOL, DIRECTION_GUARD, True, history)
+    _, steps = _flight_numpy(problem.pi0.copy(), problem.a_matrix, u, 0.0, DIRECTION_GUARD,
+                             True, history)
     assert steps == res.steps
     assert np.array_equal(history[steps], res.itilde)
     return res, history[: steps + 1]

@@ -2,6 +2,8 @@
 
 For a given problem and uniforms the two must agree bit for bit: the same
 final itilde and the same step count, with the reference ending normally.
+The grid walk's second phase steps one balancing row too, and must agree
+with the reference on it.
 """
 
 from dataclasses import replace
@@ -10,14 +12,10 @@ import numpy as np
 import pytest
 from flight_oracle import FLIGHT_OK, _flight_numpy
 from test_cube import random_problem
+from test_grid_walk import random_grid
 
-from balimpute.cube import (
-    DIRECTION_GUARD,
-    INTEGER_SNAP_TOL,
-    PIVOT_RTOL,
-    BalanceProblem,
-    flight_phase,
-)
+from balimpute import cube
+from balimpute.cube import DIRECTION_GUARD, BalanceProblem, flight_phase
 from balimpute.imputation import build_cells
 from balimpute.regression import fit_model
 
@@ -29,8 +27,8 @@ def assert_same_walk(problem, seed):
     res = flight_phase(problem, np.random.default_rng(seed))
     u = np.random.default_rng(seed).random(problem.n_cells)
     pi_ref = problem.pi0.copy()
-    ref = _flight_numpy(pi_ref, problem.a_matrix, u, INTEGER_SNAP_TOL, PIVOT_RTOL,
-                        DIRECTION_GUARD, False, np.empty((1, 1)))
+    ref = _flight_numpy(pi_ref, problem.a_matrix, u, 0.0, DIRECTION_GUARD, False,
+                        np.empty((1, 1)))
     assert ref == (FLIGHT_OK, res.steps), seed
     assert np.array_equal(res.itilde, pi_ref), seed
     return res.steps
@@ -78,8 +76,8 @@ def test_random_problems_match_oracle():
 
 
 def test_tiny_pivots_match_oracle():
-    # columns scaled down to, and past, PIVOT_RTOL of the largest entry, so
-    # pivot candidates fall into the band where the window maximum decides
+    # columns scaled down by up to 10^20: an entry far below the largest
+    # still pivots, and only an entry of exactly 0 steps alone
     for seed in range(150):
         rng = np.random.default_rng(900 + seed)
         m = int(rng.integers(4, 20))
@@ -123,7 +121,7 @@ def test_zero_and_tied_residuals_match_oracle():
 
 
 def test_grids_balance_unsnapped_start():
-    # Dirichlet(0.3) donation weights put some psi within INTEGER_SNAP_TOL of
+    # Dirichlet(0.3) donation weights put some psi within 1e-9 of
     # 0 or 1, where a snapped start or a snap of a cell the step does not take
     # to its face would break the balance of pi0 by up to that much
     rng = np.random.default_rng(94)
@@ -138,3 +136,30 @@ def test_grids_balance_unsnapped_start():
         x = flight_phase(problem, np.random.default_rng(case)).itilde
         scale = max(np.abs(a) @ problem.pi0, 1e-300)
         assert abs(a @ x - a @ problem.pi0) <= 1e-12 * scale, case
+
+
+def test_grid_phase_2_matches_oracle():
+    # phase 1 replayed from _splitting and the first n_m uniforms; phase 2
+    # must be the reference walk on the split rows' first shares t and
+    # c = dv (e_a - e_b), fed the uniforms after those
+    rng = np.random.default_rng(98)
+    for case in range(300):
+        n_m = int(rng.integers(1, 31))
+        n_r = int(rng.integers(2, 31))
+        problem = build_cells(*random_grid(rng, n_m, n_r, ties=case % 2 == 1))
+        g = problem.grid
+        res = flight_phase(problem, np.random.default_rng(case))
+        u = np.random.default_rng(case).random(2 * n_m)
+        lo, hi, x_lo, _, w = cube._splitting(g.psi_row, g.residuals)
+        cum = np.cumsum(w)
+        pick = np.minimum(np.searchsorted(cum, u[:n_m] * cum[-1], side="right"), w.size - 1)
+        assert np.array_equal(res.donors, np.column_stack((lo[pick], hi[pick]))), case
+        t = x_lo[pick]
+        rows = np.flatnonzero((t > 0.0) & (t < 1.0))
+        c = g.dv[rows] * (g.residuals[lo[pick[rows]]] - g.residuals[hi[pick[rows]]])
+        t_ref = t[rows]
+        ref = _flight_numpy(t_ref, c[None, :], u[n_m:], 0.0, DIRECTION_GUARD, False,
+                            np.empty((1, 1)))
+        assert ref == (FLIGHT_OK, res.steps - n_m), case
+        t[rows] = t_ref
+        assert np.array_equal(res.shares, np.column_stack((t, 1.0 - t))), case

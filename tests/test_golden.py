@@ -1,14 +1,17 @@
 """Seeded outputs pinned byte for byte.
 
-Refactors of the flight, the imputed dataset and the CLI writers must not
-move these: ``example``'s stdout at two seeds, the donor selection and
-flight diagnostics of a seeded ``impute --method ebri`` report on an
-n = 300 sample, the seeded ``rri`` imputed CSV, and the CSV and report of a
-seeded ``impute --method ebri --no-purity-vars`` on that sample.  The ebri report's
-donors, steps and fractional cells depend only on the flight's trajectory,
-not on how the split row's residual mix is rounded, so they are pinned
-exactly.  The sample is drawn with numpy alone, so the pins do not depend
-on the package's population generator or sampler.
+Refactors of the flight, the imputed dataset, the harness and the CLI
+writers must not move these: ``example``'s stdout at two seeds, the donor
+selection and flight diagnostics of a seeded ``impute --method ebri``
+report on an n = 300 sample, the seeded ``rri`` imputed CSV, the CSV and
+report of a seeded ``impute --method ebri --no-purity-vars`` on that
+sample, and the tables of a small seeded ``simulate`` on each design, the
+same at one worker and at two.  The ebri report's donors, steps and
+fractional cells depend only on the flight's trajectory, not on how the
+split row's residual mix is rounded, so they are pinned exactly.  The
+n = 300 sample is drawn with numpy alone, so the ``impute`` pins do not
+depend on the package's population generator or sampler; the ``simulate``
+pins cover those.
 """
 
 import hashlib
@@ -37,9 +40,9 @@ donation-weighted mean residual: 0.1728
 balance target sum d(1-r)sqrt(v) ebar: 4.38
 exact balanced imputation (seed 1234):
 unit  donors (unit:weight)      eps*     y*
-   7  2:0.70 6:0.30              0.38    1.27
-   8  4:1.00                     0.69    5.60
-   9  6:1.00                    -0.89    0.06
+   7  2:1.00                     0.93    1.80
+   8  3:1.00                    -0.14    3.86
+   9  2:0.66 6:0.34              0.32    1.26
   10  3:1.00                    -0.14    0.37
 achieved balance: 4.38 (relative error 2.0e-16)
 respondent-only part of the total: 179.67
@@ -65,18 +68,28 @@ balance target sum d(1-r)sqrt(v) ebar: 4.38
 exact balanced imputation (seed 7):
 unit  donors (unit:weight)      eps*     y*
    7  4:1.00                     0.69    1.57
-   8  2:0.23 6:0.77             -0.47    3.17
+   8  2:0.31 6:0.69             -0.32    3.48
    9  2:1.00                     0.93    1.87
-  10  1:1.00                     0.30    0.68
+  10  3:1.00                    -0.14    0.37
 achieved balance: 4.38 (relative error 2.0e-16)
 respondent-only part of the total: 179.67
 imputed total: 218.33
 """
 
-EBRI_SELECTION_SHA256 = "06b3a2797326acd5cfff6723750078604c03cbf451c8f9406a8b47f8bd3c655e"
+EBRI_SELECTION_SHA256 = "4ddc7a5059f30878abaff83f74f5f06ea2ec91c145a0a504f3af4c984a5373b7"
 RRI_CSV_SHA256 = "d3f16bfdcc5b68b0815f6d8376fa639b0b616523519cc088e5906b6a97d0d7aa"
 NO_PURITY_CSV_SHA256 = "71fa2cace826d4979ac981360693483c819af731dbea8133ca0c2ad2041143e5"
 NO_PURITY_REPORT_SHA256 = "54a0c026092c968d8bf22bb79c8172d83d7c4b42f19b16fe993d49a514b946ce"
+SIMULATE_SHA256 = {
+    "pips-rejective": {
+        "table_total.csv": "d228e710ef410e9f560310520a42f4c022080aa9611ac02da1b7457d3429adca",
+        "table_df.csv": "c5635eb83e0e1d148962241e0bfa04a79d55f9462daa248a90e454cda7e52757",
+    },
+    "srswor": {
+        "table_total.csv": "c75a1a7ffa81165df53fcf03542a32fbc3247d90beb42ad94926f723a61b3575",
+        "table_df.csv": "3e3942fae81fb9e00532af8827f88d713b158c308db96f9788a6ac5dbeb17395",
+    },
+}
 
 
 def write_sample_300(path):
@@ -130,3 +143,23 @@ def test_impute_without_purity_vars_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert sha256(out.read_bytes()) == NO_PURITY_CSV_SHA256
     assert sha256(rep.read_bytes()) == NO_PURITY_REPORT_SHA256
+
+
+def test_simulate_tables_pinned(tmp_path, capsys):
+    # two populations, an MCAR and a MAR level, 50 replicates: the same bytes
+    # at one worker and at two
+    for design, pins in SIMULATE_SHA256.items():
+        config = tmp_path / f"{design}.json"
+        config.write_text(json.dumps({
+            "seed": 2026,
+            "populations": [{"n_units": 2000, "beta": [1.0], "target_r2": 0.36},
+                            {"n_units": 2000, "beta": [1.0], "target_r2": 0.64}],
+            "mechanisms": [{"kind": "mcar", "level": 0.6}, {"kind": "mar", "level": 0.75}],
+            "sample_size": 100, "replications": 50, "design": design}))
+        for workers in ("1", "2"):
+            out = tmp_path / f"{design}-{workers}"
+            assert main(["simulate", "--config", str(config), "--out", str(out),
+                         "--workers", workers]) == 0
+            for name, pin in pins.items():
+                assert sha256((out / name).read_bytes()) == pin, (design, workers, name)
+    capsys.readouterr()

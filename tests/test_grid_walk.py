@@ -1,9 +1,10 @@
 """The stratified walk ``flight_phase`` takes on the problems ``build_cells``
 returns: its law and the invariants that define balanced imputation.
 
-No reference kernel walks the grid's matrix along the same trajectories, so
-these tests check what any flight phase of the grid must satisfy: every cell
-a martingale, the balance row exact, unit row sums and at most one split row.
+These tests check what any flight phase of the grid must satisfy: every
+cell a martingale, the balance row exact, unit row sums and at most one
+split row.  ``tests/test_flight_oracle.py`` checks its second phase against
+the reference kernel.
 """
 
 import numpy as np
@@ -78,16 +79,20 @@ def test_grid_walk_invariants_every_run():
 
 
 def test_grid_walk_balances_unsnapped_start():
-    # Dirichlet(0.3) donation weights put some psi within 1e-9 of 0 or 1; the
-    # walk must balance that psi itself, not a start snapped to the faces
-    rng = np.random.default_rng(77)
-    for case in range(600):
-        n_m = int(rng.integers(1, 13))
-        n_r = int(rng.integers(1, 16))
-        psi_row = rng.dirichlet(np.full(n_r, 0.3))
-        problem = build_cells(psi_row, rng.standard_normal(n_r), rng.uniform(1.0, 9.0, n_m))
-        for seed in range(3):
-            check_invariants(problem, flight_phase(problem, np.random.default_rng(seed)))
+    # Dirichlet(0.3) donation weights put some psi within 1e-9 of 0 or 1, and
+    # Dirichlet(0.05) most of the grids' psi; the walk must balance that psi
+    # itself, not a start snapped to the faces
+    for family_seed, alpha, cases, n_max, r_max in ((77, 0.3, 600, 12, 15),
+                                                    (2020, 0.05, 1000, 40, 40)):
+        rng = np.random.default_rng(family_seed)
+        for case in range(cases):
+            n_m = int(rng.integers(1, n_max + 1))
+            n_r = int(rng.integers(1, r_max + 1))
+            psi_row = rng.dirichlet(np.full(n_r, alpha))
+            problem = build_cells(psi_row, rng.standard_normal(n_r),
+                                  rng.uniform(1.0, 9.0, n_m))
+            for seed in range(3):
+                check_invariants(problem, flight_phase(problem, np.random.default_rng(seed)))
 
 
 def test_grid_walk_martingale():
@@ -128,6 +133,24 @@ def test_grid_walk_zero_residuals_and_tied_pairs():
         problem = build_cells(np.array([0.4, 0.6]), np.array(residuals), np.ones(4))
         for seed in range(30):
             check_invariants(problem, flight_phase(problem, np.random.default_rng(seed)))
+    # residuals (-1, -delta, delta, 1) under symmetric psi, so ebar = 0 and
+    # the split rows' c_k differ by a factor delta = 10^U(-14, -9); the grid
+    # walk and, without purity variables, the one-row walk keep the balance
+    # to 1e-12 relative to sum |a| pi0
+    rng = np.random.default_rng(96)
+    for case in range(1000):
+        n_m = int(rng.integers(1, 41))
+        delta = 10.0 ** rng.uniform(-14.0, -9.0)
+        p = rng.uniform(0.05, 0.45)
+        psi_row = np.array([p, 0.5 - p, 0.5 - p, p])
+        residuals = np.array([-1.0, -delta, delta, 1.0])
+        dv = rng.uniform(1.0, 9.0, n_m)
+        problem = build_cells(psi_row, residuals, dv)
+        check_invariants(problem, flight_phase(problem, np.random.default_rng(case)))
+        flat = build_cells(psi_row, residuals, dv, with_purity_vars=False)
+        a, pi0 = flat.a_matrix[0], flat.pi0
+        x = flight_phase(flat, np.random.default_rng(case)).itilde
+        assert abs(a @ x - a @ pi0) <= 1e-12 * (np.abs(a) @ pi0), case
 
 
 def test_grid_walk_single_donor_is_a_fixed_point():
