@@ -3,9 +3,10 @@
 Subcommands: generate (synthetic population), sample (draw a sample),
 impute (fill a sample CSV), simulate (Monte Carlo experiment), example
 (the bundled money-guess walkthrough).  Exit codes: 0 success, 1 numerical
-failure (a balance identity that should hold does not), 2 bad usage or
-unreadable input.  Every stochastic subcommand takes an explicit --seed so
-reruns are byte-identical.
+failure (a balance identity that should hold does not, or a fit, imputed
+value or total is not finite), 2 bad usage or unreadable input.  Every
+stochastic subcommand takes an explicit --seed so reruns are
+byte-identical.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .cube import FlightPhaseError
 from .estimators import imputed_total, nhat
 from .harness import ExperimentConfig, run_experiment, write_tables
 from .imputation import GridTooLargeError, impute_dri, impute_ebri, impute_rri
@@ -59,7 +61,7 @@ def cmd_generate(args) -> int:
     try:
         with open(args.recipe, encoding="utf-8") as fh:
             recipe = PopulationRecipe.from_json(fh.read())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read recipe: {exc}") from exc
     rng = np.random.default_rng(args.seed)
     pop = generate_population(recipe, rng)
@@ -124,24 +126,39 @@ def cmd_impute(args) -> int:
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read sample: {exc}") from exc
     spec = ModelSpec(a=args.a)
-    try:
-        fit = fit_model(z1[:, None], y, v, sample.respond, round(nhat(sample.d)), spec=spec)
-    except NoRespondentsError as exc:
-        raise InputError(f"cannot impute {args.input}: {exc}") from exc
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    if args.method == "dri":
-        ds = impute_dri(fit, z1[:, None], y, v)
-    elif args.method == "rri":
-        ds = impute_rri(fit, z1[:, None], y, v, rng)
-    else:
+    # overflow runs silently here: the checks below make a non-finite fit,
+    # imputed value or total a numerical failure before anything is written
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            ds = impute_ebri(fit, z1[:, None], y, v, sample.d, rng,
-                             with_purity_vars=not args.no_purity_vars)
-        except GridTooLargeError as exc:
+            fit = fit_model(z1[:, None], y, v, sample.respond, round(nhat(sample.d)), spec=spec)
+        except NoRespondentsError as exc:
             raise InputError(f"cannot impute {args.input}: {exc}") from exc
-    _write_imputed_csv(args.out, sample, ds, z1, v)
+        # ebar_r is finite only if every respondent's residual is
+        if not (np.isfinite(fit.beta).all() and np.isfinite(fit.ebar_r)):
+            raise NumericalFailure(f"the model fit is not finite (beta = {fit.beta.tolist()})")
+        if args.method == "dri":
+            ds = impute_dri(fit, z1[:, None], y, v)
+        elif args.method == "rri":
+            ds = impute_rri(fit, z1[:, None], y, v, rng)
+        else:
+            try:
+                ds = impute_ebri(fit, z1[:, None], y, v, sample.d, rng,
+                                 with_purity_vars=not args.no_purity_vars)
+            except GridTooLargeError as exc:
+                raise InputError(f"cannot impute {args.input}: {exc}") from exc
+            except FlightPhaseError as exc:
+                raise NumericalFailure(f"the flight phase failed: {exc}") from exc
+        if not np.isfinite(ds.y_star).all():
+            raise NumericalFailure("an imputed value is not finite")
+        total = imputed_total(ds, sample.d)
+        target, achieved, rel = _balance_report(fit, ds, sample.d, v)
+    if not np.isfinite(total):
+        raise NumericalFailure(f"the imputed total is not finite: {total}")
+    if ds.method == "ebri" and not rel <= BALANCE_RTOL:
+        raise NumericalFailure(f"balance identity violated: relative error {rel:.3e}")
 
-    target, achieved, rel = _balance_report(fit, ds, sample.d, v)
+    _write_imputed_csv(args.out, sample, ds, z1, v)
     if args.report:
         report = {
             "method": ds.method,
@@ -151,7 +168,7 @@ def cmd_impute(args) -> int:
             "balance_target": target,
             "balance_achieved": achieved,
             "balance_relative_error": rel,
-            "total_imputed": imputed_total(ds, sample.d),
+            "total_imputed": total,
             "nhat": nhat(sample.d),
         }
         if ds.donors is not None:
@@ -164,8 +181,6 @@ def cmd_impute(args) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"imputed {ds.n_imputed} of {sample.size} units with {ds.method}; wrote {args.out}")
-    if ds.method == "ebri" and rel > BALANCE_RTOL:
-        raise NumericalFailure(f"balance identity violated: relative error {rel:.3e}")
     return 0
 
 
@@ -222,7 +237,7 @@ def cmd_example(args) -> int:
     resp_total = float(th.d[th.respond] @ th.y[th.respond])
     print(f"respondent-only part of the total: {resp_total:.2f}")
     print(f"imputed total: {imputed_total(ds, th.d):.2f}")
-    if rel > BALANCE_RTOL:
+    if not rel <= BALANCE_RTOL:
         raise NumericalFailure(f"balance identity violated: relative error {rel:.3e}")
     return 0
 

@@ -48,16 +48,17 @@ MAX_ABORT_FRACTION = 0.01
 # no respondents.  Any other exception is a bug and propagates.
 ABORT_ERRORS = (FlightPhaseError, SamplingError, NoRespondentsError)
 METHODS = ("dri", "rri", "ebri")
-WORKERS_ENV = "BALIMPUTE_WORKERS"
-# from_dict's conversion of the optional config fields it is given; fields
-# not listed here are taken as they are, absent ones keep their default
+# from_dict's conversion of the config fields it is given; fields not
+# listed here are taken as they are, absent ones keep their default
 _FIELD_COERCIONS = {
+    "seed": int,
+    "populations": lambda pops: tuple(PopulationRecipe.from_json(json.dumps(p)) for p in pops),
+    "mechanisms": lambda mechs: tuple(MechanismSpec(**m) for m in mechs),
     "sample_size": int,
     "replications": int,
     "mar_lambda1": float,
     "methods": tuple,
     "alphas": lambda alphas: tuple(float(a) for a in alphas),
-    "keep_replicates": bool,
 }
 
 
@@ -96,8 +97,7 @@ class ExperimentConfig:
     mar_lambda1: float = 0.1
     methods: tuple[str, ...] = METHODS
     alphas: tuple[float, ...] = (0.25, 0.5)
-    workers: int | None = None
-    keep_replicates: bool = False
+    workers: int = 1
 
     def __post_init__(self):
         if self.seed < 0:
@@ -113,7 +113,7 @@ class ExperimentConfig:
             raise ValueError("at least one population recipe required")
         if not self.mechanisms:
             raise ValueError("at least one response mechanism required")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not np.isfinite(self.mar_lambda1):
             raise ValueError(f"mar_lambda1 must be finite, got {self.mar_lambda1}")
@@ -125,51 +125,23 @@ class ExperimentConfig:
                 raise ValueError(f"sample_size must lie in [1, n_units = {recipe.n_units}], "
                                  f"got {self.sample_size}")
 
-    def resolved_workers(self) -> int:
-        """``workers`` if set, else ``BALIMPUTE_WORKERS`` if set, else 1."""
-        if self.workers is not None:
-            return self.workers
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        n = int(raw)
-        if n < 1:
-            raise ValueError(f"{WORKERS_ENV} must be >= 1, got {n}")
-        return n
-
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "populations": [json.loads(p.to_json()) for p in self.populations],
-            "mechanisms": [
-                {"kind": m.kind, **({} if m.level is None else {"level": m.level})}
-                for m in self.mechanisms
-            ],
-            "sample_size": self.sample_size,
-            "replications": self.replications,
-            "design": self.design,
-            "mar_lambda1": self.mar_lambda1,
-            "methods": list(self.methods),
-            "alphas": list(self.alphas),
-            "workers": self.workers,
-            "keep_replicates": self.keep_replicates,
-        }
+        """One JSON-ready entry per field."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(
+            populations=[json.loads(p.to_json()) for p in self.populations],
+            mechanisms=[{"kind": m.kind, **({} if m.level is None else {"level": m.level})}
+                        for m in self.mechanisms],
+            methods=list(self.methods),
+            alphas=list(self.alphas),
+        )
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        pops = tuple(
-            PopulationRecipe.from_json(json.dumps(p)) for p in d["populations"]
-        )
-        mechs = tuple(
-            MechanismSpec(kind=m["kind"], level=m.get("level")) for m in d["mechanisms"]
-        )
-        required = ("seed", "populations", "mechanisms")
-        optional = {
-            f.name: _FIELD_COERCIONS.get(f.name, lambda x: x)(d[f.name])
-            for f in fields(cls)
-            if f.name in d and f.name not in required
-        }
-        return cls(seed=int(d["seed"]), populations=pops, mechanisms=mechs, **optional)
+        """The config of a JSON object.  A key that names no field, here or
+        in a recipe or mechanism, raises TypeError naming it."""
+        return cls(**{k: _FIELD_COERCIONS.get(k, lambda x: x)(v) for k, v in d.items()})
 
 
 @dataclass
@@ -186,7 +158,7 @@ class CellResult:
     rb: dict = field(default_factory=dict)
     mse: dict = field(default_factory=dict)
     re: dict = field(default_factory=dict)
-    replicates: dict | None = None
+    replicates: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -202,32 +174,38 @@ class MonteCarloResult:
         raise KeyError((population, mechanism))
 
 
-def relative_bias_percent(estimates: np.ndarray, theta: float) -> float:
-    """Monte Carlo bias as a percentage of the true value."""
-    if theta == 0:
+def relative_bias_percent(estimates: np.ndarray, theta) -> np.ndarray:
+    """Monte Carlo bias as a percentage of the true value, one per row of
+    replicates (the last axis of ``estimates``)."""
+    if np.any(theta == 0):
         raise ValueError("relative bias undefined for theta == 0")
-    return float((estimates.mean() - theta) / theta * 100.0)
+    return (estimates.mean(axis=-1) - theta) / theta * 100.0
 
 
-def mean_squared_error(estimates: np.ndarray, theta: float) -> float:
-    return float(np.mean((estimates - theta) ** 2))
+def mean_squared_error(estimates: np.ndarray, theta) -> np.ndarray:
+    return np.mean((estimates - np.expand_dims(theta, -1)) ** 2, axis=-1)
 
 
-def relative_efficiency(mse_method: float, mse_reference: float) -> float:
-    if mse_reference == 0:
-        return float("nan") if mse_method == 0 else float("inf")
-    return mse_method / mse_reference
+def relative_efficiency(mse_method, mse_reference) -> np.ndarray:
+    """mse_method / mse_reference: 0/0 is nan and x/0 is inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(mse_method, mse_reference)
+
+
+def _estimands(n_alphas: int) -> list[str]:
+    """CellResult's estimands: the total, then F at each alpha's quantile."""
+    return ["total", *(f"df@{j}" for j in range(n_alphas))]
 
 
 def _replicate_estimates(population, n, mechanism, methods, t_alpha, seed, ip, im, r):
     """One replicate: draw, respond, fit, impute with every method, estimate.
 
     ``population`` is (z1, y, v, design), where design is the population's
-    RejectiveDesign, or None for simple random sampling.  Returns
-    {(method, estimand): value}; estimands are 'total' and
-    'df@{alpha index}'.  The rng order is fixed (sample, response, rri, ebri)
-    so all methods see the same sample and response set: ``methods`` are
-    run in METHODS order, whatever order they are listed in.
+    RejectiveDesign, or None for simple random sampling.  Returns one row
+    per method, [total, F(t_alpha[0]), ...].  The rng order is fixed
+    (sample, response, rri, ebri) so all methods see the same sample and
+    response set: ``methods`` are run in METHODS order, whatever order they
+    are listed in, and so are the rows.
     """
     z1, y, v, design = population
     n_population = z1.size
@@ -244,20 +222,19 @@ def _replicate_estimates(population, n, mechanism, methods, t_alpha, seed, ip, i
         respond = generate_response(z1_s, mechanism, rng)
     fit = fit_model(z1_s[:, None], y_s, v_s, respond, n_population)
 
-    out = {}
+    run = [m for m in METHODS if m in methods]
+    out = np.empty((len(run), 1 + len(t_alpha)))
     z_s = z1_s[:, None]
-    for method in (m for m in METHODS if m in methods):
+    for row, method in zip(out, run):
         if method == "dri":
             ds = impute_dri(fit, z_s, y_s, v_s)
         elif method == "rri":
             ds = impute_rri(fit, z_s, y_s, v_s, rng)
         else:
             ds = impute_ebri(fit, z_s, y_s, v_s, sample.d, rng)
-        out[(method, "total")] = imputed_total(ds, sample.d)
+        row[0] = imputed_total(ds, sample.d)
         if t_alpha:
-            fvals = imputed_fhat(ds, sample.d, np.array(t_alpha))
-            for j, fv in enumerate(fvals):
-                out[(method, f"df@{j}")] = float(fv)
+            row[1:] = imputed_fhat(ds, sample.d, np.array(t_alpha))
     return out
 
 
@@ -345,7 +322,7 @@ def _set_up(config: ExperimentConfig, ip: int, workers: int):
 
 def run_experiment(config: ExperimentConfig) -> MonteCarloResult:
     t_start = time.perf_counter()
-    workers = config.resolved_workers()
+    workers = config.workers
     cells = []
 
     for ip in range(len(config.populations)):
@@ -367,37 +344,49 @@ def run_experiment(config: ExperimentConfig) -> MonteCarloResult:
                 else:
                     chunk_results = pool.map(_run_worker_chunk, chunk_args)
 
-                flat: list = [None] * len(reps)
-                for chunk_res in chunk_results:
-                    for r, est, err in chunk_res:
-                        flat[r] = (est, err)
-                cells.append(_cell_result(config, flat, ip, mech_spec, theta_total,
-                                          t_alpha, theta_f))
+                cells.append(_cell_result(config, chunk_results, ip, mech_spec,
+                                          theta_total, t_alpha, theta_f))
 
     elapsed = time.perf_counter() - t_start
     return MonteCarloResult(config=config, cells=cells, elapsed_seconds=elapsed)
 
 
-def _cell_result(config, flat, ip, mech_spec, theta_total, t_alpha, theta_f) -> CellResult:
-    """Aggregates of one cell from its replicates' (estimates, error) pairs."""
-    n_aborted = 0
-    ok_mask = np.zeros(len(flat), dtype=bool)
-    store: dict = {}
-    for r, (est, err) in enumerate(flat):
-        if est is None:
-            n_aborted += 1
-            log.warning("replicate %d aborted in cell (%d, %s): %s",
-                        r, ip, mech_spec.label, err)
-            continue
-        ok_mask[r] = True
-        for key, val in est.items():
-            store.setdefault(key, np.full(len(flat), np.nan))[r] = val
+def _cell_result(config, chunk_results, ip, mech_spec, theta_total, t_alpha,
+                 theta_f) -> CellResult:
+    """Aggregates of one cell from its chunks' (replicate, estimates, error)
+    triples, in one pass.
 
-    if n_aborted > MAX_ABORT_FRACTION * len(flat):
+    The estimates stack into one (method, estimand, replicate) array, NaN
+    at aborted replicates.  Replicates run along the last, contiguous axis,
+    where numpy sums each row as it sums a 1-D array, bit for bit.
+    """
+    n = config.replications
+    methods = [m for m in METHODS if m in config.methods]
+    estimands = _estimands(len(theta_f))
+    estimates = np.full((len(methods), len(estimands), n), np.nan)
+    ok = np.zeros(n, dtype=bool)
+    for chunk in chunk_results:
+        for r, est, err in chunk:
+            if est is None:
+                log.warning("replicate %d aborted in cell (%d, %s): %s",
+                            r, ip, mech_spec.label, err)
+            else:
+                ok[r] = True
+                estimates[..., r] = est
+    n_aborted = n - int(ok.sum())
+    if n_aborted > MAX_ABORT_FRACTION * n:
         raise RuntimeError(
-            f"{n_aborted}/{len(flat)} replicates aborted in cell "
+            f"{n_aborted}/{n} replicates aborted in cell "
             f"({ip}, {mech_spec.label}); exceeding {MAX_ABORT_FRACTION:.0%}"
         )
+
+    kept = np.compress(ok, estimates, axis=-1)
+    theta = np.array([theta_total, *theta_f])
+    mse = mean_squared_error(kept, theta)
+    keys = [(m, e) for m in methods for e in estimands]
+
+    def keyed(values):
+        return dict(zip(keys, values.ravel().tolist()))
 
     cell = CellResult(
         population=ip,
@@ -405,23 +394,14 @@ def _cell_result(config, flat, ip, mech_spec, theta_total, t_alpha, theta_f) -> 
         theta_total=theta_total,
         t_alpha=t_alpha,
         theta_f=theta_f,
-        n_ok=int(ok_mask.sum()),
+        n_ok=n - n_aborted,
         n_aborted=n_aborted,
+        rb=keyed(relative_bias_percent(kept, theta)),
+        mse=keyed(mse),
+        replicates=dict(zip(keys, estimates.reshape(len(keys), n))),
     )
-    estimand_thetas = {"total": theta_total}
-    for j, th in enumerate(theta_f):
-        estimand_thetas[f"df@{j}"] = th
-    for (method, estimand), vals in store.items():
-        est_ok = vals[ok_mask]
-        cell.rb[(method, estimand)] = relative_bias_percent(est_ok, estimand_thetas[estimand])
-        cell.mse[(method, estimand)] = mean_squared_error(est_ok, estimand_thetas[estimand])
-    if "rri" in config.methods:
-        for (method, estimand), m in cell.mse.items():
-            cell.re[(method, estimand)] = relative_efficiency(
-                m, cell.mse[("rri", estimand)]
-            )
-    if config.keep_replicates:
-        cell.replicates = {k: vals.copy() for k, vals in store.items()}
+    if "rri" in methods:
+        cell.re = keyed(relative_efficiency(mse, mse[methods.index("rri")]))
     log.info("cell (%d, %s) done: %d ok, %d aborted",
              ip, mech_spec.label, cell.n_ok, n_aborted)
     return cell
@@ -440,31 +420,25 @@ def write_tables(result: MonteCarloResult, outdir) -> None:
     one column per mechanism x method; plus run_meta.json."""
     cfg = result.config
     os.makedirs(outdir, exist_ok=True)
+    cells = {(c.population, c.mechanism): c for c in result.cells}
     combos = [(m.label, meth) for m in cfg.mechanisms for meth in cfg.methods]
     headers = [f"{lab}_{meth}" for lab, meth in combos]
+    total, *dfs = _estimands(len(cfg.alphas))
+    # per table: its lead columns after population, and each row group's
+    # values of them with the estimand it reports
+    tables = (("table_total.csv", [], [((), total)]),
+              ("table_df.csv", ["alpha"], [((alpha,), df) for alpha, df in zip(cfg.alphas, dfs)]))
 
-    with open(os.path.join(outdir, "table_total.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["population", "metric"] + headers)
-        for ip in range(len(cfg.populations)):
-            for metric, table in (("rb_percent", "rb"), ("re", "re")):
-                row = [ip + 1, metric]
-                for lab, meth in combos:
-                    cell = result.cell(ip, lab)
-                    row.append(_fmt(getattr(cell, table).get((meth, "total"), float("nan"))))
-                w.writerow(row)
-
-    with open(os.path.join(outdir, "table_df.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["population", "alpha", "metric"] + headers)
-        for ip in range(len(cfg.populations)):
-            for j, alpha in enumerate(cfg.alphas):
-                for metric, table in (("rb_percent", "rb"), ("re", "re")):
-                    row = [ip + 1, alpha, metric]
-                    for lab, meth in combos:
-                        cell = result.cell(ip, lab)
-                        row.append(_fmt(getattr(cell, table).get((meth, f"df@{j}"), float("nan"))))
-                    w.writerow(row)
+    for name, lead, groups in tables:
+        with open(os.path.join(outdir, name), "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["population", *lead, "metric"] + headers)
+            for ip in range(len(cfg.populations)):
+                for values, estimand in groups:
+                    for metric, table in (("rb_percent", "rb"), ("re", "re")):
+                        w.writerow([ip + 1, *values, metric] + [
+                            _fmt(getattr(cells[ip, lab], table).get((meth, estimand), float("nan")))
+                            for lab, meth in combos])
 
     meta = {
         "config": cfg.to_dict(),

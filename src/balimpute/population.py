@@ -102,15 +102,13 @@ class PopulationRecipe:
 
     @classmethod
     def from_json(cls, text: str) -> "PopulationRecipe":
+        """The recipe of a JSON object; a key that names no field raises
+        TypeError, which names it."""
         d = json.loads(text)
-        optional = {k: d[k] for k in ("sigma2", "target_r2") if k in d}
-        optional.update((k, float(d[k])) for k in ("gamma_shape", "gamma_scale") if k in d)
-        if "beta" in d:
-            beta = d["beta"]
-            if isinstance(beta, (int, float)):
-                beta = [beta]
-            optional["beta"] = tuple(float(b) for b in beta)
-        return cls(n_units=int(d["n_units"]), **optional)
+        d.update((k, float(d[k])) for k in ("gamma_shape", "gamma_scale") if k in d)
+        if isinstance(d.get("beta"), (int, float)):
+            d["beta"] = [d["beta"]]
+        return cls(**{**d, "n_units": int(d["n_units"])})
 
 
 def draw_sizes(recipe: PopulationRecipe, rng: np.random.Generator) -> npt.NDArray[np.float64]:

@@ -243,8 +243,8 @@ def test_criterion_4_deterministic_variant_efficiency(desk_scale_run):
         sq_dri[i] = (o_dri - cell.theta_total) ** 2
         sq_ebri[i] = (o_ebri - cell.theta_total) ** 2
     rho = sq_dri.mean() / sq_ebri.mean()
-    # the fixture keeps no replicates, so the run's standard error uses the
-    # oracle's per-replicate dispersion: both draw from the same law
+    # the run's standard error uses the oracle's per-replicate dispersion:
+    # both draw from the same law
     sd_unit = np.std(sq_dri - rho * sq_ebri, ddof=1) / sq_ebri.mean()
     tol = 4.0 * sd_unit * np.sqrt(1.0 / reps + 1.0 / cell.n_ok)
     assert tol < 0.05, tol

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden import write_sample_300
 
 import balimpute
 from balimpute import imputation
@@ -174,6 +176,35 @@ def test_impute_ebri_grid_walk_has_no_cap(tmp_path, capsys, monkeypatch):
     assert got == 0 and out.exists()
 
 
+@pytest.mark.parametrize("scale, swap_shares, message", [
+    (1.0, True, "balance identity violated"),
+    (1e304, False, "the imputed total is not finite"),
+    (1e305, False, "the flight phase failed"),
+    (1e306, False, "the model fit is not finite"),
+], ids=["broken_balance", "y_1e304", "y_1e305", "y_1e306"])
+def test_impute_numerical_failure_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                 scale, swap_shares, message):
+    if swap_shares:
+        real = imputation.flight_phase
+
+        def swapped(problem, rng):
+            # each row's two donors trade shares: a selection off the balance
+            flight = real(problem, rng)
+            return dataclasses.replace(flight, shares=flight.shares[:, ::-1].copy())
+
+        monkeypatch.setattr(imputation, "flight_phase", swapped)
+    src = tmp_path / "s.csv"
+    write_sample_300(src, scale=scale)
+    out, report = tmp_path / "x.csv", tmp_path / "x.json"
+    code, stdout, err = run(capsys, "impute", "--input", str(src), "--method", "ebri",
+                            "--seed", "1", "--out", str(out), "--report", str(report))
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"numerical failure: {message}"), err
+    assert not out.exists() and not report.exists()
+
+
 def test_simulate_missing_config(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--config", str(tmp_path / "none.json"),
                        "--out", str(tmp_path / "res"))
@@ -241,6 +272,9 @@ def test_beta_of_two_entries_is_bad_input(tmp_path, capsys):
     {"mechanisms": [{"kind": "mar", "level": 1.5}]},
     {"seed": -1},
     {"mar_lambda1": float("nan")},
+    {"sampel_size": 10},
+    {"populations": [{"n_units": 200, "beta": [1.0], "target_r2": 0.36, "gamma_shpe": 3.0}]},
+    {"mechanisms": [{"kind": "mcar", "levle": 0.5}]},
 ])
 def test_simulate_dry_run_rejects_configs_that_cannot_run(tmp_path, capsys, override):
     cfg = tmp_path / "c.json"
@@ -255,7 +289,10 @@ def test_simulate_dry_run_rejects_configs_that_cannot_run(tmp_path, capsys, over
                          "--out", str(tmp_path / "res"), "--dry-run")
     assert code == 2
     assert out == ""
-    assert "bad config" in err
+    assert err.startswith("error: bad config")
+    assert len(err.splitlines()) == 1, err
+    for key in ("sampel_size", "gamma_shpe", "levle"):
+        assert (key in err) == (key in json.dumps(override)), err
 
 
 def test_simulate_rejects_nonpositive_workers(tmp_path, capsys):

@@ -92,8 +92,8 @@ SIMULATE_SHA256 = {
 }
 
 
-def write_sample_300(path):
-    """A 300-unit sample, 152 respondents, with unequal weights."""
+def write_sample_300(path, scale=1.0):
+    """A 300-unit sample, 152 respondents, with unequal weights; y times ``scale``."""
     rng = np.random.default_rng(20_161_018)
     n = 300
     z1 = rng.gamma(2.0, 5.0, n)
@@ -102,7 +102,7 @@ def write_sample_300(path):
     respond = rng.random(n) < 0.55
     sample = SampleData(indices=np.sort(rng.choice(100_000, n, replace=False)), pi=pi,
                         d=1.0 / pi, respond=respond)
-    sample_to_csv(path, sample, y, z1, z1)
+    sample_to_csv(path, sample, y * scale, z1, z1)
 
 
 def sha256(data: bytes) -> str:

@@ -75,17 +75,6 @@ def test_nonpositive_workers_rejected(workers):
         tiny_config(workers=workers)
 
 
-def test_workers_default_from_environment(monkeypatch):
-    monkeypatch.delenv("BALIMPUTE_WORKERS", raising=False)
-    assert tiny_config().resolved_workers() == 1
-    monkeypatch.setenv("BALIMPUTE_WORKERS", "2")
-    assert tiny_config().resolved_workers() == 2
-    assert tiny_config(workers=1).resolved_workers() == 1
-    monkeypatch.setenv("BALIMPUTE_WORKERS", "0")
-    with pytest.raises(ValueError, match="BALIMPUTE_WORKERS"):
-        tiny_config().resolved_workers()
-
-
 def test_noiseless_full_response_is_exact():
     # sigma2 = 0 makes y proportional to the size variable, so the design
     # weights reproduce the total exactly in every replicate
@@ -185,10 +174,9 @@ def test_chunk_arguments_carry_no_population(monkeypatch):
 
 
 def test_kept_replicates_reproduce_aggregates():
-    cfg = tiny_config(keep_replicates=True)
+    cfg = tiny_config()
     res = run_experiment(cfg)
     cell = res.cells[0]
-    assert cell.replicates is not None
     for key, vals in cell.replicates.items():
         assert vals.shape == (cfg.replications,)
         assert np.all(np.isfinite(vals))
@@ -197,10 +185,102 @@ def test_kept_replicates_reproduce_aggregates():
     assert mean_squared_error(est, cell.theta_total) == cell.mse[("ebri", "total")]
 
 
+def _scalar_oracle(chunks, n, methods, theta_total, theta_f):
+    """The per-key aggregation of a cell's n replicates: each replicate's
+    estimates as a {(method, estimand): value} dict, one scalar metric call
+    per key."""
+    estimands = ["total", *(f"df@{j}" for j in range(len(theta_f)))]
+    thetas = dict(zip(estimands, (theta_total, *theta_f)))
+    keys = [(m, e) for m in harness.METHODS if m in methods for e in estimands]
+    ok = np.zeros(n, dtype=bool)
+    store = {}
+    for r, est, _ in (triple for chunk in chunks for triple in chunk):
+        if est is None:
+            continue
+        ok[r] = True
+        for key, val in zip(keys, np.ravel(est).tolist()):
+            store.setdefault(key, np.full(n, np.nan))[r] = val
+    rb, mse, re = {}, {}, {}
+    for (method, estimand), vals in store.items():
+        est_ok, theta = vals[ok], thetas[estimand]
+        rb[(method, estimand)] = float((est_ok.mean() - theta) / theta * 100.0)
+        mse[(method, estimand)] = float(np.mean((est_ok - theta) ** 2))
+    if "rri" in methods:
+        for (method, estimand), m in mse.items():
+            ref = mse[("rri", estimand)]
+            if ref == 0:
+                re[(method, estimand)] = float("nan") if m == 0 else float("inf")
+            else:
+                re[(method, estimand)] = m / ref
+    return {"rb": rb, "mse": mse, "re": re, "replicates": store}
+
+
+def _assert_same_bits(got: dict, want: dict):
+    assert list(got) == list(want)
+    if not want:
+        return
+    a = np.array(list(got.values()), dtype=np.float64)
+    b = np.array(list(want.values()), dtype=np.float64)
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    np.testing.assert_array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("case", ["aborted", "no_rri", "full_response"])
+def test_cell_aggregates_match_the_scalar_oracle(monkeypatch, case):
+    if case == "aborted":
+        calls = {"n": 0}
+        real_rri = harness.impute_rri
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise FlightPhaseError("synthetic failure")
+            return real_rri(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "impute_rri", flaky)
+        cfg = tiny_config(replications=100, workers=1)
+    elif case == "no_rri":
+        cfg = tiny_config(methods=("dri", "ebri"))
+    else:
+        # a census under full response: every method's distribution
+        # function hits the truth, so its MSE is 0 and its RE 0/0
+        cfg = tiny_config(design="srswor", mechanisms=(MechanismSpec("full"),),
+                          sample_size=600, replications=5)
+    seen = []
+    real = harness._cell_result
+
+    def recording(config, chunk_results, ip, mech_spec, theta_total, t_alpha, theta_f):
+        chunks = [list(chunk) for chunk in chunk_results]
+        cell = real(config, chunks, ip, mech_spec, theta_total, t_alpha, theta_f)
+        seen.append((cell, _scalar_oracle(chunks, config.replications, config.methods,
+                                          theta_total, theta_f)))
+        return cell
+
+    monkeypatch.setattr(harness, "_cell_result", recording)
+    run_experiment(cfg)
+    [(cell, oracle)] = seen
+    for name, want in oracle.items():
+        got = getattr(cell, name)
+        _assert_same_bits(got, want)
+        if name != "replicates":
+            assert all(type(x) is float for x in got.values()), name
+    if case == "aborted":
+        assert (cell.n_ok, cell.n_aborted) == (99, 1)
+        assert np.isnan(cell.replicates[("ebri", "total")]).sum() == 1
+    elif case == "no_rri":
+        assert cell.re == {} and len(cell.rb) == 2 * 3
+    else:
+        for method in ("dri", "rri", "ebri"):
+            assert cell.mse[(method, "df@0")] == 0.0
+            assert np.isnan(cell.re[(method, "df@0")])
+
+
 def test_method_order_does_not_change_draws():
     # methods draw in METHODS order whatever order the config lists them in,
     # so each method's replicates match those of the default list
-    runs = [run_experiment(tiny_config(methods=methods, keep_replicates=True)).cells[0]
+    runs = [run_experiment(tiny_config(methods=methods)).cells[0]
             for methods in (("ebri", "rri"), ("rri", "ebri"), ("dri", "rri", "ebri"))]
     for key, vals in runs[0].replicates.items():
         for other in runs[1:]:
@@ -212,7 +292,7 @@ def test_srswor_design_replays_its_samples():
     # full response: every method's total is the expansion total N/n sum(y)
     # of the sample that srswor draws from the replicate's generator
     cfg = tiny_config(design="srswor", mechanisms=(MechanismSpec("full"),),
-                      replications=5, keep_replicates=True)
+                      replications=5)
     cell = run_experiment(cfg).cells[0]
     pop = generate_population(
         cfg.populations[0], np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,))))
