@@ -72,7 +72,7 @@ def time_grid(n: int, seed: int, repeats: int, one_row: bool = True) -> dict:
     row = {
         "grid": f"{n}x{n}",
         "cells": problem.n_cells,
-        "constraints": problem.n_constraints,
+        "constraints": 1 + problem.grid.n_rows,  # the balance row and a purity row per row
         "build_ms": round(build_s * 1e3, 2),
         **time_flight(problem, seed, repeats),
     }

@@ -9,8 +9,7 @@ times each set-up stage alone, on the main thread:
 * ``noise_and_y``: the rest of ``generate_population``, given the sizes;
 * ``calibrate_mar``: the MAR response calibration on the sizes;
 * ``truths``: ``population_truths``, the quantiles and F_N at them from one
-  sort; ``truths_two_sorts`` times the ``quantile`` and ``fn_population``
-  calls per alpha that it replaced;
+  sort;
 * ``pips_probabilities`` and ``rejective_design``;
 
 and then the whole set-up of ``run_experiment`` (``harness._set_up``) at
@@ -35,7 +34,7 @@ import time
 import numpy as np
 
 from balimpute import harness
-from balimpute.estimators import fn_population, population_truths, quantile
+from balimpute.estimators import population_truths
 from balimpute.harness import ExperimentConfig, MechanismSpec
 from balimpute.imputation import calibrate_mar
 from balimpute.population import PopulationRecipe, draw_sizes, generate_population
@@ -76,16 +75,12 @@ def time_setup(n_units: int = N_UNITS, runs: int = RUNS) -> dict:
         times.setdefault(name, []).append(timed[1])
         return timed[0]
 
-    def two_sorts(y):
-        return [fn_population(y, quantile(y, a)) for a in (0.25, 0.5)]
-
     for _ in range(runs):
         rng = np.random.default_rng(SEED)
         z1 = record("sizes", _timed(draw_sizes, recipe, rng))
         pop = record("noise_and_y", _timed(lambda: generate_population(recipe, rng, z1=z1)))
         record("calibrate_mar", _timed(calibrate_mar, z1, 0.1, 0.9))
         record("truths", _timed(population_truths, pop.y, (0.25, 0.5)))
-        record("truths_two_sorts", _timed(two_sorts, pop.y))
         pi = record("pips_probabilities", _timed(pips_probabilities, z1, 100))
         record("rejective_design", _timed(RejectiveDesign, pi))
         del pop, pi, z1

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .csvio import write_csv
 from .cube import FlightPhaseError
 from .estimators import imputed_total, nhat
 from .harness import ExperimentConfig, run_experiment, write_tables
@@ -91,16 +92,10 @@ def cmd_sample(args) -> int:
 
 
 def _write_imputed_csv(path, sample, dataset, z1, v):
-    import csv
-
-    # csv writes each float as str(), its shortest round-trip repr
-    columns = (sample.indices + 1, dataset.y_star, z1, v, sample.pi, sample.d,
+    write_csv(path, ("id", "y", "z1", "v", "pi", "d", "r", "imputed", "eps_star"),
+              (sample.indices + 1, dataset.y_star, z1, v, sample.pi, sample.d,
                dataset.respond.astype(np.int64), (~dataset.respond).astype(np.int64),
-               dataset.eps_star)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "y", "z1", "v", "pi", "d", "r", "imputed", "eps_star"])
-        w.writerows(zip(*(c.tolist() for c in columns)))
+               dataset.eps_star))
 
 
 def _donor_rows(sample, dataset):

@@ -183,10 +183,6 @@ class BalanceProblem:
             return self.grid.n_rows * self.grid.n_donors
         return self.pi0.shape[0]
 
-    @property
-    def n_constraints(self) -> int:
-        return 1 if self.grid is None else 1 + self.grid.n_rows
-
 
 @dataclass(frozen=True)
 class FlightResult:

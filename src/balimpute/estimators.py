@@ -32,24 +32,6 @@ def imputed_total(dataset: ImputedDataset, d: npt.NDArray[np.float64]) -> float:
     return ht_total(d, dataset.y_star)
 
 
-def fn_population(y_population: npt.NDArray[np.float64], t) -> npt.NDArray[np.float64] | float:
-    """Finite-population distribution function F_N(t) = mean 1(y <= t)."""
-    y = np.asarray(y_population, dtype=np.float64)
-    if y.size == 0:
-        raise ValueError("empty population")
-    t_arr = np.asarray(t, dtype=np.float64)
-    out = (y[None, :] <= t_arr.reshape(-1, 1)).mean(axis=1)
-    return float(out[0]) if t_arr.ndim == 0 else out
-
-
-def quantile(y_population: npt.NDArray[np.float64], alpha: float) -> float:
-    """Left-continuous inverse: smallest population value with F_N >= alpha."""
-    y = np.asarray(y_population, dtype=np.float64)
-    if y.size == 0:
-        raise ValueError("empty population")
-    return _sorted_quantile(np.sort(y), alpha)
-
-
 def _sorted_quantile(ys: npt.NDArray[np.float64], alpha: float) -> float:
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -59,13 +41,14 @@ def _sorted_quantile(ys: npt.NDArray[np.float64], alpha: float) -> float:
 
 def population_truths(y_population: npt.NDArray[np.float64],
                       alphas) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(t_alpha, F_N(t_alpha)) for each alpha, from one sort of y: the
-    values of ``quantile`` and ``fn_population``, bit for bit."""
+    """(t_alpha, F_N(t_alpha)) for each alpha in (0, 1], from one sort of
+    y: t_alpha is the smallest population value with F_N >= alpha (the
+    left-continuous inverse), and F_N(t) is the share of y <= t."""
     ys = np.sort(np.asarray(y_population, dtype=np.float64))
     if ys.size == 0:
         raise ValueError("empty population")
     t_alpha = tuple(_sorted_quantile(ys, a) for a in alphas)
-    # the count of y <= t over N, the division fn_population's mean makes
+    # the count of y <= t over N, the division a mean of 1(y <= t) makes
     counts = np.searchsorted(ys, t_alpha, side="right").tolist()
     return t_alpha, tuple(c / ys.size for c in counts)
 

@@ -9,9 +9,9 @@ independent of how replicates are distributed over workers.
 """
 
 import contextlib
-import csv
 import json
 import logging
+import numbers
 import os
 import platform
 import time
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .csvio import write_csv
 from .cube import FlightPhaseError
 from .estimators import imputed_fhat, imputed_total, population_truths
 from .imputation import (
@@ -48,14 +49,25 @@ MAX_ABORT_FRACTION = 0.01
 # no respondents.  Any other exception is a bug and propagates.
 ABORT_ERRORS = (FlightPhaseError, SamplingError, NoRespondentsError)
 METHODS = ("dri", "rri", "ebri")
+
+
+def _integer(name):
+    """from_dict's coercion of an integer field: an integer as an int; any
+    other value, a float such as 2.0 or 20.5 included, raises ValueError
+    naming the field."""
+    def coerce(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return coerce
+
+
 # from_dict's conversion of the config fields it is given; fields not
 # listed here are taken as they are, absent ones keep their default
 _FIELD_COERCIONS = {
-    "seed": int,
+    **{name: _integer(name) for name in ("seed", "sample_size", "replications", "workers")},
     "populations": lambda pops: tuple(PopulationRecipe.from_json(json.dumps(p)) for p in pops),
     "mechanisms": lambda mechs: tuple(MechanismSpec(**m) for m in mechs),
-    "sample_size": int,
-    "replications": int,
     "mar_lambda1": float,
     "methods": tuple,
     "alphas": lambda alphas: tuple(float(a) for a in alphas),
@@ -430,15 +442,14 @@ def write_tables(result: MonteCarloResult, outdir) -> None:
               ("table_df.csv", ["alpha"], [((alpha,), df) for alpha, df in zip(cfg.alphas, dfs)]))
 
     for name, lead, groups in tables:
-        with open(os.path.join(outdir, name), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["population", *lead, "metric"] + headers)
-            for ip in range(len(cfg.populations)):
-                for values, estimand in groups:
-                    for metric, table in (("rb_percent", "rb"), ("re", "re")):
-                        w.writerow([ip + 1, *values, metric] + [
-                            _fmt(getattr(cells[ip, lab], table).get((meth, estimand), float("nan")))
-                            for lab, meth in combos])
+        rows = [[ip + 1, *values, metric] + [
+                    _fmt(getattr(cells[ip, lab], table).get((meth, estimand), float("nan")))
+                    for lab, meth in combos]
+                for ip in range(len(cfg.populations))
+                for values, estimand in groups
+                for metric, table in (("rb_percent", "rb"), ("re", "re"))]
+        write_csv(os.path.join(outdir, name), ["population", *lead, "metric"] + headers,
+                  zip(*rows))
 
     meta = {
         "config": cfg.to_dict(),

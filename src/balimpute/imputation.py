@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .cube import BalanceProblem, CellGrid, FlightResult, flight_phase
+from .cube import BalanceProblem, CellGrid, FlightPhaseError, FlightResult, flight_phase
 from .regression import FittedModel, NoRespondentsError
 
 MAR_CALIBRATION_TOL = 1e-6
@@ -171,13 +171,16 @@ def build_cells(
     indicator of row k.  That problem is returned as its grid, which the
     flight walks row by row and never builds a cell array or a matrix for;
     without purity variables it is the one balance row, one entry per cell,
-    from the start pi0 that repeats psi_row in every row.
+    from the start pi0 that repeats psi_row in every row.  A balance row
+    that overflows, though its factors are finite, is a FlightPhaseError.
     """
     grid = CellGrid(psi_row, residuals, dv)
     if with_purity_vars:
         return BalanceProblem(grid=grid)
-    return BalanceProblem(pi0=np.tile(grid.psi_row, grid.n_rows),
-                          a_matrix=np.outer(grid.dv, grid.residuals).reshape(1, -1))
+    a_matrix = np.outer(grid.dv, grid.residuals).reshape(1, -1)
+    if not np.isfinite(a_matrix).all():
+        raise FlightPhaseError("the balance row dv_k e_l overflows")
+    return BalanceProblem(pi0=np.tile(grid.psi_row, grid.n_rows), a_matrix=a_matrix)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ with theoretical gamma moments, which gives
     sigma^2 = beta^2 Var(z1) (1 - R^2) / (R^2 E(z1)).
 """
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
+
+from .csvio import FLAG, FLOAT, finite_positive, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -163,10 +164,6 @@ class ThompsonSample:
         return self.z1.shape[0]
 
     @property
-    def pi(self) -> npt.NDArray[np.float64]:
-        return np.full(self.n_sample, self.n_sample / self.n_population)
-
-    @property
     def d(self) -> npt.NDArray[np.float64]:
         return np.full(self.n_sample, self.n_population / self.n_sample)
 
@@ -191,31 +188,17 @@ def load_thompson_example() -> ThompsonSample:
 POPULATION_FIELDS = ("id", "y", "z1", "v", "missing")
 
 
-def population_to_csv(pop: Population, path, missing: npt.NDArray[np.bool_] | None = None) -> None:
-    """Columns (id, y, z1, v, missing); floats use shortest round-trip repr."""
-    if missing is None:
-        missing = np.zeros(pop.size, dtype=bool)
-    columns = (range(1, pop.size + 1), pop.y.tolist(), pop.z1.tolist(), pop.v.tolist(),
-               np.asarray(missing, dtype=np.int64).tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(POPULATION_FIELDS)
-        w.writerows(zip(*columns))
+def population_to_csv(pop: Population, path) -> None:
+    """Columns (id, y, z1, v, missing); missing is 0 for every unit."""
+    write_csv(path, POPULATION_FIELDS,
+              (range(1, pop.size + 1), pop.y, pop.z1, pop.v, [0] * pop.size))
 
 
 def population_from_csv(path) -> tuple[Population, npt.NDArray[np.bool_]]:
-    ys, z1s, vs, miss = [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(POPULATION_FIELDS) <= set(reader.fieldnames):
-            raise ValueError(f"population CSV needs columns {POPULATION_FIELDS}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                ys.append(float(row["y"]))
-                z1s.append(float(row["z1"]))
-                vs.append(float(row["v"]))
-                miss.append(bool(int(row["missing"])))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad population row at line {lineno}: {exc}") from exc
-    pop = Population(y=np.array(ys), v=np.array(vs), z1=np.array(z1s))
-    return pop, np.array(miss, dtype=bool)
+    """Returns (the population, its missing flags); y must be finite, z1
+    and v finite and > 0."""
+    cols = read_csv(path, "population",
+                    {"id": None, "y": FLOAT, "z1": FLOAT, "v": FLOAT, "missing": FLAG},
+                    [("y", lambda c: np.isfinite(c["y"]), "must be finite, got {}"),
+                     finite_positive("z1"), finite_positive("v")])
+    return Population(y=cols["y"], v=cols["v"], z1=cols["z1"]), cols["missing"]

@@ -87,12 +87,6 @@ def _clip_eigenvalues(g: npt.NDArray[np.float64], a: float):
     return vals, u, clipped
 
 
-def regularize(g: npt.NDArray[np.float64], a: float) -> npt.NDArray[np.float64]:
-    """Clip the eigenvalues of a symmetric PSD matrix from below at a > 0."""
-    _, u, clipped = _clip_eigenvalues(g, a)
-    return (u * clipped) @ u.T
-
-
 def default_floor(g_r: npt.NDArray[np.float64]) -> float:
     k = g_r.shape[0]
     return DEFAULT_FLOOR_FRACTION * float(np.trace(g_r)) / k

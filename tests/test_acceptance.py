@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 from flight_oracle import grid_cells
+from test_regression import regularize
 
 from balimpute.cli import main as cli_main
 from balimpute.cube import flight_phase
@@ -31,7 +32,7 @@ from balimpute.population import (
     generate_population,
     load_thompson_example,
 )
-from balimpute.regression import ModelSpec, fit_model, regularize
+from balimpute.regression import ModelSpec, fit_model
 from balimpute.sampling import RejectiveDesign, pips_probabilities, rejective_sample, srswor
 
 pytestmark = pytest.mark.acceptance

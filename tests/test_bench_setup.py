@@ -15,8 +15,7 @@ def test_bench_setup_times_every_stage():
     spec.loader.exec_module(bench)
     before = threading.active_count()
     ms = bench.time_setup(n_units=2_000, runs=1)
-    assert set(ms) == {"sizes", "noise_and_y", "calibrate_mar", "truths", "truths_two_sorts",
-                       "pips_probabilities", "rejective_design",
-                       "set_up_workers_1", "set_up_workers_2"}
+    assert set(ms) == {"sizes", "noise_and_y", "calibrate_mar", "truths", "pips_probabilities",
+                       "rejective_design", "set_up_workers_1", "set_up_workers_2"}
     assert all(v > 0 for v in ms.values()), ms
     assert threading.active_count() == before

@@ -127,6 +127,75 @@ def test_impute_malformed_csv_reports_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+def corrupt_last_row(path, column, text, respondent=None):
+    """Set one field of a CSV file's last row, or of its last row whose r
+    is ``respondent``, to ``text``.  A ``text`` of None drops the row's
+    last field; a ``column`` of None appends ``text`` as a field beyond
+    the header.  Returns the row's line number."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    r = header.index("r") if respondent is not None else None
+    lineno = max(i for i, line in enumerate(lines[1:], 2)
+                 if r is None or line.split(",")[r] == str(int(respondent)))
+    fields = lines[lineno - 1].split(",")
+    if column is None:
+        fields.append(text)
+    elif text is None:
+        fields.pop()
+    else:
+        fields[header.index(column)] = text
+    lines[lineno - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return lineno
+
+
+# text "FIRST" stands for the id of the file's first row
+@pytest.mark.parametrize("command, respondent, column, text, named", [
+    ("impute", True, "r", None, "r"),
+    ("impute", True, None, "1", "8"),
+    ("impute", False, "id", "FIRST", "id"),
+    ("impute", False, "v", "-1", "v"),
+    ("impute", True, "z1", "nan", "z1"),
+    ("impute", True, "v", "nan", "v"),
+    ("impute", False, "z1", "0", "z1"),
+    ("impute", True, "z1", "", "z1"),
+    ("impute", True, "pi", "0", "pi"),
+    ("impute", True, "pi", "1.5", "pi"),
+    ("impute", True, "y", "inf", "y"),
+    ("sample", None, "z1", "0", "z1"),
+], ids=["short_row", "long_row", "repeated_id", "v_negative", "z1_nan", "v_nan", "z1_zero",
+        "z1_empty", "pi_zero", "pi_above_one", "y_inf", "population_z1_zero"])
+def test_bad_input_file_is_one_error_line(tmp_path, capsys, command, respondent, column, text,
+                                          named):
+    if command == "impute":
+        src = tmp_path / "s.csv"
+        write_sample_300(src)
+        expected = "error: cannot read sample: "
+    else:
+        src = tmp_path / "pop.csv"
+        recipe = tmp_path / "r.json"
+        recipe.write_text('{"n_units": 100, "beta": [1.0], "target_r2": 0.36}\n')
+        assert main(["generate", "--recipe", str(recipe), "--seed", "3", "--out", str(src)]) == 0
+        expected = "error: cannot read population: "
+    if text == "FIRST":
+        text = src.read_text().splitlines()[1].split(",")[0]
+    lineno = corrupt_last_row(src, column, text, respondent)
+    out, report = tmp_path / "x.csv", tmp_path / "x.json"
+    argv = {"impute": ["impute", "--input", str(src), "--method", "ebri", "--seed", "1",
+                       "--out", str(out), "--report", str(report)],
+            "sample": ["sample", "--population", str(src), "--n", "10", "--seed", "1",
+                       "--out", str(out)]}[command]
+    capsys.readouterr()
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(expected), err
+    assert f"at line {lineno}, column {named}:" in err, err
+    if column == "y":
+        assert "must be finite where given" in err, err
+    assert not out.exists() and not report.exists()
+
+
 @pytest.mark.parametrize("a", ["nan", "inf", "0", "-1"])
 def test_impute_rejects_bad_floor(tmp_path, capsys, a):
     src = tmp_path / "s.csv"
@@ -176,14 +245,15 @@ def test_impute_ebri_grid_walk_has_no_cap(tmp_path, capsys, monkeypatch):
     assert got == 0 and out.exists()
 
 
-@pytest.mark.parametrize("scale, swap_shares, message", [
-    (1.0, True, "balance identity violated"),
-    (1e304, False, "the imputed total is not finite"),
-    (1e305, False, "the flight phase failed"),
-    (1e306, False, "the model fit is not finite"),
-], ids=["broken_balance", "y_1e304", "y_1e305", "y_1e306"])
+@pytest.mark.parametrize("scale, swap_shares, flags, message", [
+    (1.0, True, [], "balance identity violated"),
+    (1e304, False, [], "the imputed total is not finite"),
+    (1e305, False, [], "the flight phase failed"),
+    (1e305, False, ["--no-purity-vars"], "the flight phase failed"),
+    (1e306, False, [], "the model fit is not finite"),
+], ids=["broken_balance", "y_1e304", "y_1e305", "y_1e305_no_purity_vars", "y_1e306"])
 def test_impute_numerical_failure_writes_nothing(tmp_path, capsys, monkeypatch,
-                                                 scale, swap_shares, message):
+                                                 scale, swap_shares, flags, message):
     if swap_shares:
         real = imputation.flight_phase
 
@@ -197,7 +267,7 @@ def test_impute_numerical_failure_writes_nothing(tmp_path, capsys, monkeypatch,
     write_sample_300(src, scale=scale)
     out, report = tmp_path / "x.csv", tmp_path / "x.json"
     code, stdout, err = run(capsys, "impute", "--input", str(src), "--method", "ebri",
-                            "--seed", "1", "--out", str(out), "--report", str(report))
+                            "--seed", "1", *flags, "--out", str(out), "--report", str(report))
     assert code == 1
     assert stdout == ""
     assert len(err.splitlines()) == 1, err
@@ -275,6 +345,8 @@ def test_beta_of_two_entries_is_bad_input(tmp_path, capsys):
     {"sampel_size": 10},
     {"populations": [{"n_units": 200, "beta": [1.0], "target_r2": 0.36, "gamma_shpe": 3.0}]},
     {"mechanisms": [{"kind": "mcar", "levle": 0.5}]},
+    {"workers": 2.0},
+    {"sample_size": 20.5},
 ])
 def test_simulate_dry_run_rejects_configs_that_cannot_run(tmp_path, capsys, override):
     cfg = tmp_path / "c.json"
@@ -291,7 +363,7 @@ def test_simulate_dry_run_rejects_configs_that_cannot_run(tmp_path, capsys, over
     assert out == ""
     assert err.startswith("error: bad config")
     assert len(err.splitlines()) == 1, err
-    for key in ("sampel_size", "gamma_shpe", "levle"):
+    for key in ("sampel_size", "gamma_shpe", "levle", "workers", "sample_size"):
         assert (key in err) == (key in json.dumps(override)), err
 
 

@@ -3,17 +3,30 @@ import pytest
 
 from balimpute.estimators import (
     fhat,
-    fn_population,
     ht_total,
     imputed_total,
     nhat,
     population_truths,
-    quantile,
 )
 from balimpute.imputation import impute_dri
 from balimpute.population import PopulationRecipe, generate_population
 from balimpute.regression import fit_model
 from balimpute.sampling import RejectiveDesign, pips_probabilities, rejective_sample, srswor
+
+
+def fn_population(y, t):
+    """Oracle of population_truths: the finite-population distribution
+    function F_N(t) = mean 1(y <= t), at each t."""
+    t_arr = np.asarray(t, dtype=np.float64)
+    out = (y[None, :] <= t_arr.reshape(-1, 1)).mean(axis=1)
+    return float(out[0]) if t_arr.ndim == 0 else out
+
+
+def quantile(y, alpha):
+    """Oracle of population_truths: the smallest population value with
+    F_N >= alpha."""
+    ys = np.sort(y)
+    return float(ys[max(int(np.ceil(alpha * ys.size)) - 1, 0)])
 
 
 def test_ht_total_small():
@@ -45,10 +58,11 @@ def test_quantile_left_continuous():
 
 
 def test_quantile_validation():
-    with pytest.raises(ValueError):
-        quantile(np.array([1.0]), 0.0)
-    with pytest.raises(ValueError):
-        quantile(np.array([1.0]), 1.1)
+    for alpha in (0.0, 1.1):
+        with pytest.raises(ValueError, match="alpha"):
+            population_truths(np.array([1.0]), (alpha,))
+    with pytest.raises(ValueError, match="empty"):
+        population_truths(np.array([]), (0.5,))
 
 
 def test_population_truths_match_quantile_and_fn():

@@ -5,8 +5,9 @@ writers must not move these: ``example``'s stdout at two seeds, the donor
 selection and flight diagnostics of a seeded ``impute --method ebri``
 report on an n = 300 sample, the seeded ``rri`` imputed CSV, the CSV and
 report of a seeded ``impute --method ebri --no-purity-vars`` on that
-sample, and the tables of a small seeded ``simulate`` on each design, the
-same at one worker and at two.  The ebri report's donors, steps and
+sample, the tables of a small seeded ``simulate`` on each design, the
+same at one worker and at two, and the files a seeded ``generate`` and
+``sample`` write, which the readers must read back bit for bit.  The ebri report's donors, steps and
 fractional cells depend only on the flight's trajectory, not on how the
 split row's residual mix is rounded, so they are pinned exactly.  The
 n = 300 sample is drawn with numpy alone, so the ``impute`` pins do not
@@ -16,11 +17,20 @@ pins cover those.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 
 from balimpute.cli import main
-from balimpute.sampling import SampleData, sample_to_csv
+from balimpute.population import PopulationRecipe, generate_population, population_from_csv
+from balimpute.sampling import (
+    SampleData,
+    pips_probabilities,
+    rejective_sample,
+    sample_from_csv,
+    sample_to_csv,
+    srswor,
+)
 
 EXAMPLE_1234 = """\
 money-guess sample: N=53, n=10, d=5.3 for every unit
@@ -89,6 +99,12 @@ SIMULATE_SHA256 = {
         "table_total.csv": "c75a1a7ffa81165df53fcf03542a32fbc3247d90beb42ad94926f723a61b3575",
         "table_df.csv": "3e3942fae81fb9e00532af8827f88d713b158c308db96f9788a6ac5dbeb17395",
     },
+}
+
+GENERATE_SHA256 = "068afc1d2c3c6974c26dd976a12cf7355e8c649dda465ab90a3a7980285f8996"
+SAMPLE_SHA256 = {
+    "pips-rejective": "6728f80caef0253f626120145de1766cf1685d148038e51151c680c6cdc279b3",
+    "srswor": "bdedb1820a9dd23d0f98466f4135f9c0a0938d3445ad7b9c0b7e3c604a305ce2",
 }
 
 
@@ -162,4 +178,34 @@ def test_simulate_tables_pinned(tmp_path, capsys):
                          "--workers", workers]) == 0
             for name, pin in pins.items():
                 assert sha256((out / name).read_bytes()) == pin, (design, workers, name)
+    capsys.readouterr()
+
+
+def test_generate_and_sample_files_pinned(tmp_path, capsys):
+    recipe_path = Path(__file__).resolve().parent.parent / "configs" / "recipe.json"
+    pop_csv = tmp_path / "pop.csv"
+    assert main(["generate", "--recipe", str(recipe_path), "--seed", "1",
+                 "--out", str(pop_csv)]) == 0
+    assert sha256(pop_csv.read_bytes()) == GENERATE_SHA256
+    with open(recipe_path, encoding="utf-8") as fh:
+        pop = generate_population(PopulationRecipe.from_json(fh.read()), np.random.default_rng(1))
+    back, missing = population_from_csv(pop_csv)
+    for name in ("y", "z1", "v"):
+        assert getattr(back, name).tobytes() == getattr(pop, name).tobytes(), name
+    assert missing.tobytes() == np.zeros(pop.size, dtype=bool).tobytes()
+
+    for design, pin in SAMPLE_SHA256.items():
+        out = tmp_path / f"{design}.csv"
+        assert main(["sample", "--population", str(pop_csv), "--design", design,
+                     "--n", "100", "--seed", "2", "--out", str(out)]) == 0
+        assert sha256(out.read_bytes()) == pin, design
+        rng = np.random.default_rng(2)
+        drawn = (srswor(pop.size, 100, rng) if design == "srswor"
+                 else rejective_sample(pips_probabilities(pop.z1, 100), rng))
+        sample, y, z1, v = sample_from_csv(out)
+        idx = drawn.indices
+        for got, want in ((sample.indices, idx), (sample.pi, drawn.pi), (sample.d, drawn.d),
+                          (sample.respond, np.ones(100, dtype=bool)),
+                          (y, pop.y[idx]), (z1, pop.z1[idx]), (v, pop.v[idx])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), design
     capsys.readouterr()

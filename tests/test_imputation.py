@@ -111,14 +111,14 @@ def test_build_cells_thompson_grid():
     assert problem.n_cells == 24
     assert problem.pi0 is None  # every row starts at psi_row
     assert np.all(problem.grid.psi_row == pytest.approx(1 / 6, rel=1e-12))
-    assert problem.n_constraints == 5
+    assert problem.grid.n_rows == 4  # four purity rows beside the balance row
     # the flight walks the grid by its factors: no matrix is built
     assert problem.a_matrix is None
     np.testing.assert_array_equal(problem.grid.dv, dv)
     np.testing.assert_array_equal(problem.grid.residuals, fit.residuals[:6])
     # without purity variables, the one balance row dv_k e_l, cell by cell
     problem = build_cells(fit.omega_tilde[:6], fit.residuals[:6], dv, with_purity_vars=False)
-    assert problem.n_constraints == 1
+    assert problem.a_matrix.shape == (1, 24)
     np.testing.assert_array_equal(problem.a_matrix[0],
                                   np.outer(dv, fit.residuals[:6]).ravel())
     np.testing.assert_array_equal(problem.pi0, np.tile(fit.omega_tilde[:6], 4))
@@ -140,7 +140,7 @@ def test_balance_problem_memory_is_linear_in_cells():
         peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    assert problem.n_cells == 250_000 and problem.n_constraints == 501
+    assert problem.n_cells == 250_000 and problem.grid.n_rows == 500
     assert peak_mb < 64.0, peak_mb
 
 

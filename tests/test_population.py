@@ -107,7 +107,6 @@ def test_thompson_example_values():
     assert np.all(np.isnan(th.y[6:]))
     assert np.array_equal(th.respond, np.array([True] * 6 + [False] * 4))
     assert th.d[0] == 5.3
-    assert th.pi[0] == pytest.approx(10 / 53, rel=1e-15)
 
 
 def test_population_csv_roundtrip(tmp_path):

@@ -253,6 +253,17 @@ def test_sample_csv_roundtrip(tmp_path):
     assert np.array_equal(z2, z1) and np.array_equal(v2, v)
 
 
+def test_sample_csv_names_each_column_once(tmp_path):
+    # a second y column is ambiguous, not a choice between the two
+    path = tmp_path / "dup.csv"
+    path.write_text("id,y,z1,v,pi,d,r,y\n1,1.0,1.0,1.0,0.5,2.0,1,5.0\n")
+    with pytest.raises(ValueError, match="each once"):
+        sample_from_csv(path)
+    path.write_text("id,y,z1,v,pi,r\n1,1.0,1.0,1.0,0.5,1\n")
+    with pytest.raises(ValueError, match="needs columns"):
+        sample_from_csv(path)
+
+
 def test_sample_csv_respondent_needs_y(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
