@@ -98,17 +98,51 @@ def _write_imputed_csv(path, sample, dataset, z1, v):
                dataset.eps_star))
 
 
-def _donor_rows(sample, dataset):
-    """The report's donors: per nonrespondent, its unit id, purity and the
-    donor unit ids it takes a share of, with those shares."""
+def _donors_text(sample, dataset) -> str:
+    """The report's donors as ``json.dumps(indent=2, sort_keys=True)``
+    writes them as a value of the report: per nonrespondent, its unit id,
+    purity and the donor unit ids it takes a share of, with those shares.
+    Formatted row by row, not by json's pure-Python indenting encoder; a
+    non-finite share is json's ValueError."""
+    shares = dataset.shares
+    if not np.isfinite(shares).all():
+        raise ValueError("Out of range float values are not JSON compliant")
     ids = (sample.indices + 1).tolist()
     col_ids = [str(ids[j]) for j in dataset.col_units.tolist()]
-    return [
-        {"unit": ids[i], "pure": pure,
-         "weights": {col_ids[j]: s for j, s in zip(donors, shares) if s > 0}}
-        for i, pure, donors, shares in zip(dataset.row_units.tolist(), dataset.pure.tolist(),
-                                           dataset.donors.tolist(), dataset.shares.tolist())
-    ]
+    # most rows take one donor: its share and id need no dict and no sort
+    positive = shares > 0
+    slot = positive.argmax(axis=1)
+    row = np.arange(shares.shape[0])
+    one = (positive.sum(axis=1) == 1).tolist()
+    heads = ('    {\n      "pure": false,\n      "unit": ',
+             '    {\n      "pure": true,\n      "unit": ')
+    rows = []
+    for i, pure, single, donor, share, donors, row_shares in zip(
+            dataset.row_units.tolist(), dataset.pure.tolist(), one,
+            dataset.donors[row, slot].tolist(), shares[row, slot].tolist(),
+            dataset.donors.tolist(), shares.tolist()):
+        if single:
+            weights = f'{{\n        "{col_ids[donor]}": {share!r}\n      }}'
+        else:
+            pairs = sorted({col_ids[j]: s for j, s in zip(donors, row_shares) if s > 0}.items())
+            weights = ("{\n" + ",\n".join(f'        "{j}": {s!r}' for j, s in pairs)
+                       + "\n      }" if pairs else "{}")
+        rows.append(f'{heads[pure]}{ids[i]},\n      "weights": {weights}\n    }}')
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
+def _report_text(report, sample, dataset) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, with
+    the dataset's donors under "donors" where it has them; a non-finite
+    value is a ValueError."""
+    if dataset.donors is not None:
+        # a stand-in for the donors' text: the first top-level value after
+        # the three numeric balance_* values
+        report = {**report, "donors": None}
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if dataset.donors is None:
+        return text
+    return text.replace('"donors": null', '"donors": ' + _donors_text(sample, dataset), 1)
 
 
 def cmd_impute(args) -> int:
@@ -153,7 +187,6 @@ def cmd_impute(args) -> int:
     if ds.method == "ebri" and not rel <= BALANCE_RTOL:
         raise NumericalFailure(f"balance identity violated: relative error {rel:.3e}")
 
-    _write_imputed_csv(args.out, sample, ds, z1, v)
     if args.report:
         report = {
             "method": ds.method,
@@ -166,15 +199,19 @@ def cmd_impute(args) -> int:
             "total_imputed": total,
             "nhat": nhat(sample.d),
         }
-        if ds.donors is not None:
-            report["donors"] = _donor_rows(sample, ds)
         if ds.flight is not None:
             report["flight_steps"] = ds.flight.steps
             report["fractional_cells"] = ds.flight.n_fractional
         if args.explain:
             report["model"] = fit.report_dict()
+        try:
+            report_text = _report_text(report, sample, ds)
+        except ValueError as exc:
+            raise NumericalFailure(f"the report holds a non-finite value: {exc}") from exc
+    _write_imputed_csv(args.out, sample, ds, z1, v)
+    if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            fh.write(report_text)
     print(f"imputed {ds.n_imputed} of {sample.size} units with {ds.method}; wrote {args.out}")
     return 0
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.typing as npt
 
-from .csvio import FLAG, FLOAT, INT, finite_positive, read_csv, write_csv
+from .csvio import FLAG, FLOAT, INT, Converter, finite_positive, read_csv, write_csv
 
 MAX_REJECTIVE_ATTEMPTS = 1_000_000
 
@@ -213,6 +213,9 @@ def rejective_sample(design: "RejectiveDesign | npt.NDArray[np.float64]",
 
 
 SAMPLE_FIELDS = ("id", "y", "z1", "v", "pi", "d", "r")
+# how far a sample file's d may lie from 1/pi, relative; sample_to_csv
+# writes d = 1/pi rounded once
+D_RTOL = 1e-12
 
 
 def _y_field(text: str) -> float:
@@ -244,8 +247,11 @@ def _first_of_each_id(cols):
     """False at each row whose id an earlier row holds already."""
     # a set, not a sort: np.argsort's first call added 0.2 MB to the
     # peak RSS of an n = 300 impute
+    ids = cols["id"].tolist()
+    if len(set(ids)) == len(ids):
+        return np.ones(len(ids), dtype=bool)
     seen, first = set(), []
-    for k in cols["id"].tolist():
+    for k in ids:
         first.append(k not in seen)
         seen.add(k)
     return np.array(first, dtype=bool)
@@ -255,18 +261,21 @@ def sample_from_csv(path):
     """Returns (SampleData with respond set, y with NaN at nonrespondents, z1, v).
 
     Each row must hold a distinct id, z1 and v finite and > 0, pi in
-    (0, 1], and a y that is finite, or empty at a nonrespondent.  d must be
-    present, and is taken as 1/pi.
+    (0, 1], d equal to 1/pi within D_RTOL relative, and a y that is finite,
+    or empty at a nonrespondent.  d is taken as 1/pi.
     """
     cols = read_csv(
         path, "sample",
-        {"id": INT, "y": (_y_field, np.float64), "z1": FLOAT, "v": FLOAT, "pi": FLOAT, "d": None,
-         "r": FLAG},
+        {"id": INT, "y": Converter(_y_field, np.float64), "z1": FLOAT, "v": FLOAT,
+         "pi": FLOAT, "d": FLOAT, "r": FLAG},
         [("id", _first_of_each_id, "id {} repeats an earlier row"),
          ("y", lambda c: ~(c["r"] & np.isnan(c["y"])), "respondent without a y value"),
          finite_positive("z1"),
          finite_positive("v"),
-         ("pi", lambda c: (c["pi"] > 0) & (c["pi"] <= 1), "must lie in (0, 1], got {}")])
+         ("pi", lambda c: (c["pi"] > 0) & (c["pi"] <= 1), "must lie in (0, 1], got {}"),
+         # |d - 1/pi| / (1/pi) as |d pi - 1|: 1/pi overflows where pi is subnormal
+         ("d", lambda c: np.abs(c["d"] * c["pi"] - 1.0) <= D_RTOL,
+          f"must equal 1/pi within {D_RTOL:g} relative, got {{}}")])
     pi = cols["pi"]
     sample = SampleData(indices=cols["id"] - 1, pi=pi, d=1.0 / pi, respond=cols["r"])
     return sample, cols["y"], cols["z1"], cols["v"]

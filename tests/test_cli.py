@@ -8,9 +8,10 @@ import pytest
 from test_golden import write_sample_300
 
 import balimpute
-from balimpute import imputation
+from balimpute import cli, imputation
 from balimpute.cli import main
 from balimpute.population import load_thompson_example
+from balimpute.regression import fit_model
 from balimpute.sampling import SampleData, sample_to_csv
 
 
@@ -127,11 +128,12 @@ def test_impute_malformed_csv_reports_line(tmp_path, capsys):
     assert "line 3" in err
 
 
-def corrupt_last_row(path, column, text, respondent=None):
+def corrupt_last_row(path, column, text, respondent=None, blank_before=False):
     """Set one field of a CSV file's last row, or of its last row whose r
     is ``respondent``, to ``text``.  A ``text`` of None drops the row's
     last field; a ``column`` of None appends ``text`` as a field beyond
-    the header.  Returns the row's line number."""
+    the header.  With ``blank_before``, a blank line goes in before the
+    row.  Returns the row's line number."""
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     r = header.index("r") if respondent is not None else None
@@ -145,28 +147,34 @@ def corrupt_last_row(path, column, text, respondent=None):
     else:
         fields[header.index(column)] = text
     lines[lineno - 1] = ",".join(fields)
+    if blank_before:
+        lines.insert(lineno - 1, "")
+        lineno += 1
     path.write_text("\n".join(lines) + "\n")
     return lineno
 
 
 # text "FIRST" stands for the id of the file's first row
-@pytest.mark.parametrize("command, respondent, column, text, named", [
-    ("impute", True, "r", None, "r"),
-    ("impute", True, None, "1", "8"),
-    ("impute", False, "id", "FIRST", "id"),
-    ("impute", False, "v", "-1", "v"),
-    ("impute", True, "z1", "nan", "z1"),
-    ("impute", True, "v", "nan", "v"),
-    ("impute", False, "z1", "0", "z1"),
-    ("impute", True, "z1", "", "z1"),
-    ("impute", True, "pi", "0", "pi"),
-    ("impute", True, "pi", "1.5", "pi"),
-    ("impute", True, "y", "inf", "y"),
-    ("sample", None, "z1", "0", "z1"),
+@pytest.mark.parametrize("command, respondent, column, text, named, blank_before", [
+    ("impute", True, "r", None, "r", False),
+    ("impute", True, None, "1", "8", False),
+    ("impute", False, "id", "FIRST", "id", False),
+    ("impute", False, "v", "-1", "v", False),
+    ("impute", True, "z1", "nan", "z1", False),
+    ("impute", True, "v", "nan", "v", False),
+    ("impute", False, "z1", "0", "z1", False),
+    ("impute", True, "z1", "", "z1", False),
+    ("impute", True, "pi", "0", "pi", False),
+    ("impute", True, "pi", "1.5", "pi", False),
+    ("impute", True, "y", "inf", "y", False),
+    ("sample", None, "z1", "0", "z1", False),
+    ("impute", False, "d", "999", "d", False),
+    ("impute", True, "z1", "nan", "z1", True),
 ], ids=["short_row", "long_row", "repeated_id", "v_negative", "z1_nan", "v_nan", "z1_zero",
-        "z1_empty", "pi_zero", "pi_above_one", "y_inf", "population_z1_zero"])
+        "z1_empty", "pi_zero", "pi_above_one", "y_inf", "population_z1_zero", "d_not_one_over_pi",
+        "blank_line_before_z1_nan"])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, command, respondent, column, text,
-                                          named):
+                                          named, blank_before):
     if command == "impute":
         src = tmp_path / "s.csv"
         write_sample_300(src)
@@ -179,7 +187,7 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, command, respondent,
         expected = "error: cannot read population: "
     if text == "FIRST":
         text = src.read_text().splitlines()[1].split(",")[0]
-    lineno = corrupt_last_row(src, column, text, respondent)
+    lineno = corrupt_last_row(src, column, text, respondent, blank_before)
     out, report = tmp_path / "x.csv", tmp_path / "x.json"
     argv = {"impute": ["impute", "--input", str(src), "--method", "ebri", "--seed", "1",
                        "--out", str(out), "--report", str(report)],
@@ -193,6 +201,8 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, command, respondent,
     assert f"at line {lineno}, column {named}:" in err, err
     if column == "y":
         assert "must be finite where given" in err, err
+    if column == "d":
+        assert "must equal 1/pi within 1e-12 relative, got 999.0" in err, err
     assert not out.exists() and not report.exists()
 
 
@@ -245,15 +255,22 @@ def test_impute_ebri_grid_walk_has_no_cap(tmp_path, capsys, monkeypatch):
     assert got == 0 and out.exists()
 
 
-@pytest.mark.parametrize("scale, swap_shares, flags, message", [
-    (1.0, True, [], "balance identity violated"),
-    (1e304, False, [], "the imputed total is not finite"),
-    (1e305, False, [], "the flight phase failed"),
-    (1e305, False, ["--no-purity-vars"], "the flight phase failed"),
-    (1e306, False, [], "the model fit is not finite"),
-], ids=["broken_balance", "y_1e304", "y_1e305", "y_1e305_no_purity_vars", "y_1e306"])
-def test_impute_numerical_failure_writes_nothing(tmp_path, capsys, monkeypatch,
-                                                 scale, swap_shares, flags, message):
+# the report's balance target of dri overflows where one nonrespondent's
+# d sqrt(v) does, though its imputed value and the total stay finite
+HUGE_WEIGHT = {"pi": "1e-200", "d": "1e+200", "v": "1e300"}
+
+
+@pytest.mark.parametrize("method, scale, swap_shares, corrupt, flags, message", [
+    ("ebri", 1.0, True, {}, [], "balance identity violated"),
+    ("ebri", 1e304, False, {}, [], "the imputed total is not finite"),
+    ("ebri", 1e305, False, {}, [], "the flight phase failed"),
+    ("ebri", 1e305, False, {}, ["--no-purity-vars"], "the flight phase failed"),
+    ("ebri", 1e306, False, {}, [], "the model fit is not finite"),
+    ("dri", 1.0, False, HUGE_WEIGHT, [], "the report holds a non-finite value"),
+], ids=["broken_balance", "y_1e304", "y_1e305", "y_1e305_no_purity_vars", "y_1e306",
+        "dri_report_not_finite"])
+def test_impute_numerical_failure_writes_nothing(tmp_path, capsys, monkeypatch, method, scale,
+                                                 swap_shares, corrupt, flags, message):
     if swap_shares:
         real = imputation.flight_phase
 
@@ -265,14 +282,71 @@ def test_impute_numerical_failure_writes_nothing(tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(imputation, "flight_phase", swapped)
     src = tmp_path / "s.csv"
     write_sample_300(src, scale=scale)
+    for column, text in corrupt.items():
+        corrupt_last_row(src, column, text, respondent=False)
     out, report = tmp_path / "x.csv", tmp_path / "x.json"
-    code, stdout, err = run(capsys, "impute", "--input", str(src), "--method", "ebri",
+    code, stdout, err = run(capsys, "impute", "--input", str(src), "--method", method,
                             "--seed", "1", *flags, "--out", str(out), "--report", str(report))
     assert code == 1
     assert stdout == ""
     assert len(err.splitlines()) == 1, err
     assert err.startswith(f"numerical failure: {message}"), err
     assert not out.exists() and not report.exists()
+
+
+def donor_rows(sample, dataset):
+    """The report's donors as dicts, for ``json.dumps`` to encode: the
+    reference ``cli._donors_text`` must match byte for byte."""
+    ids = (sample.indices + 1).tolist()
+    col_ids = [str(ids[j]) for j in dataset.col_units.tolist()]
+    return [
+        {"unit": ids[i], "pure": pure,
+         "weights": {col_ids[j]: s for j, s in zip(donors, shares) if s > 0}}
+        for i, pure, donors, shares in zip(dataset.row_units.tolist(), dataset.pure.tolist(),
+                                           dataset.donors.tolist(), dataset.shares.tolist())
+    ]
+
+
+def imputed_datasets(tmp_path):
+    """Datasets of each method on the n = 300 sample, with and without
+    purity variables, and two built by hand: rows whose donor ids sort
+    otherwise as text than as numbers, a donor named twice, a row with no
+    positive share, and a dataset with no row."""
+    src = tmp_path / "s.csv"
+    write_sample_300(src)
+    sample, y, z1, v = cli.sample_from_csv(src)
+    fit = fit_model(z1[:, None], y, v, sample.respond, round(float(sample.d.sum())))
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        yield sample, imputation.impute_rri(fit, z1[:, None], y, v, rng)
+        yield sample, imputation.impute_ebri(fit, z1[:, None], y, v, sample.d, rng)
+        yield sample, imputation.impute_ebri(fit, z1[:, None], y, v, sample.d, rng,
+                                             with_purity_vars=False)
+    pi = np.full(5, 0.5)
+    small = SampleData(indices=np.array([0, 8, 44, 99, 444]), pi=pi, d=1.0 / pi)
+    by_hand = imputation.ImputedDataset(
+        method="ebri", y_star=np.zeros(5), eps_star=np.zeros(5),
+        respond=np.array([False, True, True, True, False]),
+        row_units=np.array([0, 4]), col_units=np.array([1, 2, 3]),
+        donors=np.array([[2, 0, 1], [1, 1, 0]]), shares=np.array([[0.25, 0.5, 0.25], [0.5, 0.5, 0.0]]),
+        pure=np.array([False, True]))
+    yield small, by_hand
+    yield small, dataclasses.replace(by_hand, shares=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    yield small, dataclasses.replace(by_hand, row_units=np.zeros(0, dtype=np.int64),
+                                     donors=np.zeros((0, 1), dtype=np.int64),
+                                     shares=np.zeros((0, 1)), pure=np.zeros(0, dtype=bool))
+
+
+def test_report_text_matches_json_encoder(tmp_path):
+    report = {"balance_target": 1.5, "balance_achieved": 1.5, "balance_relative_error": 0.0,
+              "method": "ebri", "model": {"beta": [0.5], "respondents": [1, 2]}, "nhat": 10.0}
+    for sample, dataset in imputed_datasets(tmp_path):
+        want = json.dumps({**report, "donors": donor_rows(sample, dataset)}, indent=2,
+                          sort_keys=True) + "\n"
+        assert cli._report_text(report, sample, dataset) == want
+    dri = dataclasses.replace(dataset, donors=None, shares=None, pure=None)
+    assert cli._report_text(report, sample, dri) == json.dumps(report, indent=2,
+                                                              sort_keys=True) + "\n"
 
 
 def test_simulate_missing_config(tmp_path, capsys):

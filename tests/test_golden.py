@@ -3,7 +3,8 @@
 Refactors of the flight, the imputed dataset, the harness and the CLI
 writers must not move these: ``example``'s stdout at two seeds, the donor
 selection and flight diagnostics of a seeded ``impute --method ebri``
-report on an n = 300 sample, the seeded ``rri`` imputed CSV, the CSV and
+report on an n = 300 sample, that call's CSV and report bytes and its
+report with ``--explain``, the seeded ``rri`` imputed CSV, the CSV and
 report of a seeded ``impute --method ebri --no-purity-vars`` on that
 sample, the tables of a small seeded ``simulate`` on each design, the
 same at one worker and at two, and the files a seeded ``generate`` and
@@ -87,6 +88,9 @@ imputed total: 218.33
 """
 
 EBRI_SELECTION_SHA256 = "4ddc7a5059f30878abaff83f74f5f06ea2ec91c145a0a504f3af4c984a5373b7"
+EBRI_CSV_SHA256 = "1b2544809e1f4ff19c3db2df7dc18136c7f54e264db8e09dcb6b84661c84751d"
+EBRI_REPORT_SHA256 = "91466d5437c94cc722d6f6f90bceeda782b04c75d90e6455f722b321735db3f3"
+EBRI_EXPLAIN_REPORT_SHA256 = "9df37837ee4b6967c70a65bab1bb1e5dbb34d0d37181fe5f06d023b6b7dc4ecb"
 RRI_CSV_SHA256 = "d3f16bfdcc5b68b0815f6d8376fa639b0b616523519cc088e5906b6a97d0d7aa"
 NO_PURITY_CSV_SHA256 = "71fa2cace826d4979ac981360693483c819af731dbea8133ca0c2ad2041143e5"
 NO_PURITY_REPORT_SHA256 = "54a0c026092c968d8bf22bb79c8172d83d7c4b42f19b16fe993d49a514b946ce"
@@ -141,6 +145,11 @@ def test_impute_selection_and_rri_csv_pinned(tmp_path, capsys):
     selection = {k: report[k] for k in ("donors", "flight_steps", "fractional_cells")}
     assert len(selection["donors"]) == 148
     assert sha256(json.dumps(selection, sort_keys=True).encode()) == EBRI_SELECTION_SHA256
+    assert sha256(out.read_bytes()) == EBRI_CSV_SHA256
+    assert sha256(rep.read_bytes()) == EBRI_REPORT_SHA256
+    assert main(["impute", "--input", str(src), "--method", "ebri", "--seed", "1101",
+                 "--out", str(out), "--report", str(rep), "--explain"]) == 0
+    assert sha256(rep.read_bytes()) == EBRI_EXPLAIN_REPORT_SHA256
 
     out = tmp_path / "rri.csv"
     assert main(["impute", "--input", str(src), "--method", "rri", "--seed", "1102",
