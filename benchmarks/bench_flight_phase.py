@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from balimpute.cube import BalanceProblem, flight_phase
+from balimpute.cube import BalanceProblem, CellGrid, flight_phase
 from balimpute.imputation import build_cells
 
 ONE_ROW_MAX = 500  # largest n also walked without purity variables (its cells are held)
@@ -42,7 +42,7 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 1e6
 
 
-def time_flight(problem: BalanceProblem, seed: int, repeats: int) -> dict:
+def time_flight(problem: CellGrid | BalanceProblem, seed: int, repeats: int) -> dict:
     times = []
     for _ in range(repeats):
         rng = np.random.default_rng(seed)
@@ -72,7 +72,7 @@ def time_grid(n: int, seed: int, repeats: int, one_row: bool = True) -> dict:
     row = {
         "grid": f"{n}x{n}",
         "cells": problem.n_cells,
-        "constraints": 1 + problem.grid.n_rows,  # the balance row and a purity row per row
+        "constraints": 1 + problem.n_rows,  # the balance row and a purity row per row
         "build_ms": round(build_s * 1e3, 2),
         **time_flight(problem, seed, repeats),
     }

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .csvio import write_csv
+from .csvio import CHUNK_ROWS, write_csv
 from .cube import FlightPhaseError
 from .estimators import imputed_total, nhat
 from .harness import ExperimentConfig, run_experiment, write_tables
@@ -98,51 +98,71 @@ def _write_imputed_csv(path, sample, dataset, z1, v):
                dataset.eps_star))
 
 
-def _donors_text(sample, dataset) -> str:
+def _donors_text(sample, dataset):
     """The report's donors as ``json.dumps(indent=2, sort_keys=True)``
-    writes them as a value of the report: per nonrespondent, its unit id,
-    purity and the donor unit ids it takes a share of, with those shares.
-    Formatted row by row, not by json's pure-Python indenting encoder; a
-    non-finite share is json's ValueError."""
-    shares = dataset.shares
-    if not np.isfinite(shares).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    ids = (sample.indices + 1).tolist()
-    col_ids = [str(ids[j]) for j in dataset.col_units.tolist()]
-    # most rows take one donor: its share and id need no dict and no sort
-    positive = shares > 0
-    slot = positive.argmax(axis=1)
-    row = np.arange(shares.shape[0])
-    one = (positive.sum(axis=1) == 1).tolist()
+    writes them as a value of the report, yielded in pieces of CHUNK_ROWS
+    rows: per nonrespondent, its unit id, purity and the donor unit ids it
+    takes a share of, with those shares.  Formatted row by row, not by
+    json's pure-Python indenting encoder; the shares must be finite."""
+    n_rows = dataset.row_units.size
+    if not n_rows:
+        yield "[]"
+        return
+    unit_ids = sample.indices + 1
+    col_ids = unit_ids[dataset.col_units]
     heads = ('    {\n      "pure": false,\n      "unit": ',
              '    {\n      "pure": true,\n      "unit": ')
-    rows = []
-    for i, pure, single, donor, share, donors, row_shares in zip(
-            dataset.row_units.tolist(), dataset.pure.tolist(), one,
-            dataset.donors[row, slot].tolist(), shares[row, slot].tolist(),
-            dataset.donors.tolist(), shares.tolist()):
-        if single:
-            weights = f'{{\n        "{col_ids[donor]}": {share!r}\n      }}'
-        else:
-            pairs = sorted({col_ids[j]: s for j, s in zip(donors, row_shares) if s > 0}.items())
-            weights = ("{\n" + ",\n".join(f'        "{j}": {s!r}' for j, s in pairs)
-                       + "\n      }" if pairs else "{}")
-        rows.append(f'{heads[pure]}{ids[i]},\n      "weights": {weights}\n    }}')
-    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    sep = "[\n"
+    for start in range(0, n_rows, CHUNK_ROWS):
+        part = slice(start, start + CHUNK_ROWS)
+        shares, donor_ids = dataset.shares[part], col_ids[dataset.donors[part]]
+        # most rows take one donor: its share and id need no dict and no sort
+        positive = shares > 0
+        slot = positive.argmax(axis=1)
+        row = np.arange(shares.shape[0])
+        one = (positive.sum(axis=1) == 1).tolist()
+        rows = []
+        for unit, pure, single, donor, share, donors, row_shares in zip(
+                unit_ids[dataset.row_units[part]].tolist(), dataset.pure[part].tolist(), one,
+                donor_ids[row, slot].tolist(), shares[row, slot].tolist(),
+                donor_ids.tolist(), shares.tolist()):
+            if single:
+                weights = f'{{\n        "{donor}": {share!r}\n      }}'
+            else:
+                pairs = sorted({str(j): s for j, s in zip(donors, row_shares) if s > 0}.items())
+                weights = ("{\n" + ",\n".join(f'        "{j}": {s!r}' for j, s in pairs)
+                           + "\n      }" if pairs else "{}")
+            rows.append(f'{heads[pure]}{unit},\n      "weights": {weights}\n    }}')
+        yield sep + ",\n".join(rows)
+        sep = ",\n"
+    yield "\n  ]"
 
 
-def _report_text(report, sample, dataset) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, with
-    the dataset's donors under "donors" where it has them; a non-finite
-    value is a ValueError."""
-    if dataset.donors is not None:
-        # a stand-in for the donors' text: the first top-level value after
-        # the three numeric balance_* values
-        report = {**report, "donors": None}
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _report_parts(report, dataset) -> tuple[str, str]:
+    """``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, as
+    the text before and the text after the dataset's donors, which go
+    under "donors" where it has them; the second part is empty where it
+    has none.  A non-finite value or share is json's ValueError."""
     if dataset.donors is None:
-        return text
-    return text.replace('"donors": null', '"donors": ' + _donors_text(sample, dataset), 1)
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", ""
+    if not np.isfinite(dataset.shares).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    # a stand-in for the donors' text: the first top-level value after the
+    # three numeric balance_* values
+    text = json.dumps({**report, "donors": None}, indent=2, sort_keys=True, allow_nan=False)
+    head, tail = text.split('"donors": null', 1)
+    return head + '"donors": ', tail + "\n"
+
+
+def _write_report(path, parts, sample, dataset):
+    """The report file: ``_report_parts``' two texts, with the donor rows
+    written between them a chunk at a time, as they are formatted."""
+    head, tail = parts
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        if dataset.donors is not None:
+            fh.writelines(_donors_text(sample, dataset))
+        fh.write(tail)
 
 
 def cmd_impute(args) -> int:
@@ -199,19 +219,19 @@ def cmd_impute(args) -> int:
             "total_imputed": total,
             "nhat": nhat(sample.d),
         }
-        if ds.flight is not None:
-            report["flight_steps"] = ds.flight.steps
-            report["fractional_cells"] = ds.flight.n_fractional
+        if ds.steps is not None:
+            # every nonzero cell of the flight's end is among the shares
+            report["flight_steps"] = ds.steps
+            report["fractional_cells"] = int(np.count_nonzero((ds.shares > 0) & (ds.shares < 1)))
         if args.explain:
             report["model"] = fit.report_dict()
         try:
-            report_text = _report_text(report, sample, ds)
+            report_parts = _report_parts(report, ds)
         except ValueError as exc:
             raise NumericalFailure(f"the report holds a non-finite value: {exc}") from exc
     _write_imputed_csv(args.out, sample, ds, z1, v)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report_text)
+        _write_report(args.report, report_parts, sample, ds)
     print(f"imputed {ds.n_imputed} of {sample.size} units with {ds.method}; wrote {args.out}")
     return 0
 

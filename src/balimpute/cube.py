@@ -9,10 +9,12 @@ face it hits, choosing the sign with the probability that keeps every
 coordinate a martingale, and sets the coordinate that bounds the step to
 that face.
 
-The program builds two kinds of problem: the imputation grid, whose
-n_m + 1 constraints the walk reads from their structure without forming A,
-and a single balancing row, a (1, M) A.  One walk steps every single
-balancing row, the grid's second phase included.
+The program builds two kinds of problem, and ``flight_phase`` walks each
+by its type: the imputation grid, a ``CellGrid``, whose n_m + 1
+constraints the walk reads from their structure without forming A; and a
+single balancing row, a ``BalanceProblem`` with a (1, M) A and its start
+pi0.  One walk steps every single balancing row, the grid's second phase
+included.
 
 **The imputation grid** (``CellGrid``): n_m nonrespondent rows by n_r donor
 columns, cell (k, l) starting at psi_l.  The matrix is one balance row
@@ -66,12 +68,12 @@ of the grid problem: it keeps the balance row and every row sum, and
 E[itilde] = pi0.  Phase 1 uses one uniform per row and each step of
 phase 2 fixes a split row, so there are at most 2 n_m steps.
 
-**One balancing row** (a (1, M) ``a_matrix``, as ``build_cells`` gives
-without purity variables, or phase 2's (t, c)) is walked from its start
-itself, one uniform per step.  Each step reads the two lowest fractional
-cells c1 < c2, the window of Chauvet & Tille (2006) at q = 1, and takes the
-first null vector a Gauss-Jordan elimination of the restricted row gives
-under that order:
+**One balancing row** (a ``BalanceProblem``'s (1, M) ``a_matrix``, as
+``build_cells`` gives without purity variables, or phase 2's (t, c)) is
+walked from its start itself, one uniform per step.  Each step reads the
+two lowest fractional cells c1 < c2, the window of Chauvet & Tille (2006)
+at q = 1, and takes the first null vector a Gauss-Jordan elimination of
+the restricted row gives under that order:
 
 1. when one fractional cell is left and its a is not 0, the restricted
    kernel is trivial and the walk stops;
@@ -98,7 +100,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-INTEGER_SNAP_TOL = 1e-9
+# how far a grid's psi_row may sum from 1
+PSI_SUM_TOL = 1e-9
 DIRECTION_GUARD = 1e-14
 
 
@@ -108,7 +111,8 @@ class FlightPhaseError(RuntimeError):
 
 @dataclass(frozen=True)
 class CellGrid:
-    """The n_m x n_r selection grid of balanced imputation by its factors.
+    """The n_m x n_r selection grid of balanced imputation by its factors:
+    the flight problem of the grid, walked by rows.
 
     Cell (k, l), in row-major order, starts at the donation weight
     ``psi_row[l]`` of donor l in every nonrespondent row k.  Its balancing
@@ -132,7 +136,7 @@ class CellGrid:
         # each row holds one unit of donation weight, which the walk splits
         # over at most two donors
         if not (np.all((psi >= 0.0) & (psi <= 1.0))
-                and abs(psi.sum() - 1.0) <= INTEGER_SNAP_TOL):
+                and abs(psi.sum() - 1.0) <= PSI_SUM_TOL):
             raise ValueError("psi_row must be weights in [0, 1] that sum to 1")
 
     @property
@@ -143,27 +147,20 @@ class CellGrid:
     def n_donors(self) -> int:
         return self.residuals.shape[0]
 
+    @property
+    def n_cells(self) -> int:
+        return self.n_rows * self.n_donors
+
 
 @dataclass(frozen=True)
 class BalanceProblem:
-    """A flight's start and balancing matrix, given as exactly one of
-    ``a_matrix``, one balancing row of M entries as a (1, M) array, walked
-    from ``pi0``; or ``grid``, the imputation grid, walked by rows.  A grid
-    has no pi0, as each of its rows starts at the grid's psi_row."""
+    """A flight's start ``pi0``, M entries in [0, 1], and its one balancing
+    row ``a_matrix``, M entries as a (1, M) array."""
 
-    pi0: npt.NDArray[np.float64] | None = None
-    a_matrix: npt.NDArray[np.float64] | None = None
-    grid: CellGrid | None = None
+    pi0: npt.NDArray[np.float64]
+    a_matrix: npt.NDArray[np.float64]
 
     def __post_init__(self):
-        if (self.a_matrix is None) == (self.grid is None):
-            raise ValueError("give exactly one of a_matrix and grid")
-        if self.grid is not None:
-            if self.pi0 is not None:
-                raise ValueError("a grid starts at its psi_row: give no pi0")
-            return
-        if self.pi0 is None:
-            raise ValueError("pi0 is required with a_matrix")
         pi0 = np.ascontiguousarray(self.pi0, dtype=np.float64)
         if pi0.ndim != 1:
             raise ValueError("pi0 must be a vector")
@@ -179,8 +176,6 @@ class BalanceProblem:
 
     @property
     def n_cells(self) -> int:
-        if self.grid is not None:
-            return self.grid.n_rows * self.grid.n_donors
         return self.pi0.shape[0]
 
 
@@ -196,16 +191,6 @@ class FlightResult:
     itilde: npt.NDArray[np.float64] | None = None
     donors: npt.NDArray[np.int64] | None = None
     shares: npt.NDArray[np.float64] | None = None
-
-    @property
-    def fractional(self) -> npt.NDArray[np.bool_]:
-        """Where ``itilde``, or on a grid ``shares``, lies strictly inside (0, 1)."""
-        x = self.shares if self.itilde is None else self.itilde
-        return (x > 0.0) & (x < 1.0)
-
-    @property
-    def n_fractional(self) -> int:
-        return int(np.count_nonzero(self.fractional))
 
 
 def _splitting(psi: npt.NDArray[np.float64], e: npt.NDArray[np.float64]):
@@ -356,8 +341,10 @@ def _row_walk(a: npt.NDArray[np.float64], pi: npt.NDArray[np.float64],
     return x, t
 
 
-def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightResult:
-    """Run the flight phase.  Raises FlightPhaseError when a step has a
+def flight_phase(problem: CellGrid | BalanceProblem,
+                 rng: np.random.Generator) -> FlightResult:
+    """Run the flight phase: the grid walk on a CellGrid, the one-row walk
+    on a BalanceProblem.  Raises FlightPhaseError when a step has a
     degenerate length.
 
     The walk draws one uniform per step as it takes it, so ``steps`` in all:
@@ -366,8 +353,8 @@ def flight_phase(problem: BalanceProblem, rng: np.random.Generator) -> FlightRes
     one per cell, as every step fixes a cell.  These are the doubles a single
     draw of that many would give.
     """
-    if problem.grid is not None:
-        donors, shares, steps = _grid_walk(problem.grid, rng)
+    if isinstance(problem, CellGrid):
+        donors, shares, steps = _grid_walk(problem, rng)
         return FlightResult(steps=steps, donors=donors, shares=shares)
     x, steps = _row_walk(problem.a_matrix[0], problem.pi0, rng)
     return FlightResult(steps=steps, itilde=np.array(x, dtype=np.float64))

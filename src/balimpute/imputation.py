@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .cube import BalanceProblem, CellGrid, FlightPhaseError, FlightResult, flight_phase
+from .cube import BalanceProblem, CellGrid, FlightPhaseError, flight_phase
 from .regression import FittedModel, NoRespondentsError
 
 MAR_CALIBRATION_TOL = 1e-6
@@ -160,23 +160,24 @@ def build_cells(
     residuals: npt.NDArray[np.float64],
     dv: npt.NDArray[np.float64],
     with_purity_vars: bool = True,
-) -> BalanceProblem:
-    """Balancing problem of the nonrespondent x donor grid behind the
+) -> CellGrid | BalanceProblem:
+    """Flight problem of the nonrespondent x donor grid behind the
     balanced selection.
 
     Cell (k, l), in row-major order, starts at the donation weight
     ``psi_row[l]`` of donor l, the same in every nonrespondent row k.  The
     balancing variables come already divided by psi: dv_k e_l in the
     balance row (dv_k = d_k v_k^{1/2}) and, with purity variables on, the
-    indicator of row k.  That problem is returned as its grid, which the
-    flight walks row by row and never builds a cell array or a matrix for;
-    without purity variables it is the one balance row, one entry per cell,
-    from the start pi0 that repeats psi_row in every row.  A balance row
-    that overflows, though its factors are finite, is a FlightPhaseError.
+    indicator of row k.  That problem is the grid itself, a CellGrid, which
+    the flight walks row by row and never builds a cell array or a matrix
+    for; without purity variables it is a BalanceProblem, the one balance
+    row, one entry per cell, from the start pi0 that repeats psi_row in
+    every row.  A balance row that overflows, though its factors are
+    finite, is a FlightPhaseError.
     """
     grid = CellGrid(psi_row, residuals, dv)
     if with_purity_vars:
-        return BalanceProblem(grid=grid)
+        return grid
     a_matrix = np.outer(grid.dv, grid.residuals).reshape(1, -1)
     if not np.isfinite(a_matrix).all():
         raise FlightPhaseError("the balance row dv_k e_l overflows")
@@ -196,7 +197,8 @@ class ImputedDataset:
     of 0 adds nothing, and its donor may repeat one the row names already.
     rri has w = 1.  ebri has w = 2, the two donors a row of the grid walk
     ends on; without purity variables w is the most donors any row took.
-    ``pure`` flags nonrespondent rows served by a single donor.
+    ``pure`` flags nonrespondent rows served by a single donor, and
+    ``steps`` counts the flight's steps, None where no flight ran.
     """
 
     method: str
@@ -208,7 +210,7 @@ class ImputedDataset:
     donors: npt.NDArray[np.int64] | None = None
     shares: npt.NDArray[np.float64] | None = None
     pure: npt.NDArray[np.bool_] | None = None
-    flight: FlightResult | None = None
+    steps: int | None = None
 
     @property
     def n_imputed(self) -> int:
@@ -218,7 +220,7 @@ class ImputedDataset:
 def _imputed(method, model, z, y, v, rows, cols, eps_rows, **selection) -> ImputedDataset:
     """The dataset with y* = z'beta + sqrt(v) eps* at the nonrespondent
     ``rows``; ``selection`` holds the method's donors, shares, pure and
-    flight."""
+    steps."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
         z = z[:, None]
@@ -289,4 +291,4 @@ def impute_ebri(
         shares = np.take_along_axis(itilde, donors, axis=1)
     pure = ~((shares > 0.0) & (shares < 1.0)).any(axis=1)
     return _imputed("ebri", model, z, y, v, rows, cols, eps_rows, donors=donors,
-                    shares=shares, pure=pure, flight=flight)
+                    shares=shares, pure=pure, steps=flight.steps)

@@ -103,8 +103,9 @@ def fit_model(
     """Fit the imputation model on the respondents of a drawn sample.
 
     ``y`` may hold NaN at nonrespondents; only respondent rows enter the
-    moments.  ``n_population`` is the N in the 1/N scaling (it cancels in
-    beta but keeps G_r on its natural scale for the default floor).
+    moments.  ``z`` and ``v`` must be finite, and v > 0, at every unit.
+    ``n_population`` is the N in the 1/N scaling (it cancels in beta but
+    keeps G_r on its natural scale for the default floor).
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
@@ -115,8 +116,11 @@ def fit_model(
     n = z.shape[0]
     if y.shape[0] != n or v.shape[0] != n or respond.shape[0] != n:
         raise ValueError("z, y, v, respond must have matching length")
-    if np.any(v <= 0):
-        raise ValueError("variance scale v must be strictly positive")
+    # before the floor: a non-finite z or v would surface as a NaN floor
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite at every unit")
+    if not np.all((v > 0) & (v < np.inf)):
+        raise ValueError("variance scale v must be finite and strictly positive")
     resp = np.flatnonzero(respond)
     if resp.size == 0:
         raise NoRespondentsError("cannot fit a model with zero respondents")

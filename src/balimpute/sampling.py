@@ -33,6 +33,7 @@ n = 300 and 3 x 10^5 at n = 400, against 25 to 49 Bernoulli attempts.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import numpy.typing as npt
@@ -48,26 +49,28 @@ class SamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class SampleData:
-    """A drawn sample: population indices, inclusion probs, design weights.
+    """A drawn sample: population indices and inclusion probs, with the
+    design weights d = 1/pi derived from pi.
 
     ``respond`` is None until a response mechanism has been applied.
-    Invariant: d == 1/pi elementwise, exactly.
     """
 
     indices: npt.NDArray[np.int64]
     pi: npt.NDArray[np.float64]
-    d: npt.NDArray[np.float64]
     respond: npt.NDArray[np.bool_] | None = None
 
     def __post_init__(self):
-        if self.indices.shape != self.pi.shape or self.pi.shape != self.d.shape:
-            raise ValueError("indices, pi, d must share a shape")
+        if self.indices.shape != self.pi.shape:
+            raise ValueError("indices and pi must share a shape")
         if np.any(self.pi <= 0) or np.any(self.pi > 1):
             raise ValueError("inclusion probabilities must lie in (0, 1]")
-        if not np.array_equal(self.d, 1.0 / self.pi):
-            raise ValueError("design weights must equal 1/pi exactly")
         if self.respond is not None and self.respond.shape != self.indices.shape:
             raise ValueError("respond must match sample size")
+
+    @cached_property
+    def d(self) -> npt.NDArray[np.float64]:
+        """The design weights 1/pi, computed on first use."""
+        return 1.0 / self.pi
 
     @property
     def size(self) -> int:
@@ -79,8 +82,7 @@ class SampleData:
 
 def _sample_from(indices: npt.NDArray[np.int64], pi_all: npt.NDArray[np.float64]) -> SampleData:
     idx = np.sort(np.asarray(indices, dtype=np.int64))
-    pi = pi_all[idx].copy()
-    return SampleData(indices=idx, pi=pi, d=1.0 / pi)
+    return SampleData(indices=idx, pi=pi_all[idx])
 
 
 def pips_probabilities(z1: npt.NDArray[np.float64], n: int) -> npt.NDArray[np.float64]:
@@ -276,6 +278,5 @@ def sample_from_csv(path):
          # |d - 1/pi| / (1/pi) as |d pi - 1|: 1/pi overflows where pi is subnormal
          ("d", lambda c: np.abs(c["d"] * c["pi"] - 1.0) <= D_RTOL,
           f"must equal 1/pi within {D_RTOL:g} relative, got {{}}")])
-    pi = cols["pi"]
-    sample = SampleData(indices=cols["id"] - 1, pi=pi, d=1.0 / pi, respond=cols["r"])
+    sample = SampleData(indices=cols["id"] - 1, pi=cols["pi"], respond=cols["r"])
     return sample, cols["y"], cols["z1"], cols["v"]

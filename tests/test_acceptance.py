@@ -375,7 +375,7 @@ def test_criterion_8_byte_determinism(tmp_path, capsys):
 
     th = load_thompson_example()
     pi = np.full(10, 10 / 53)
-    sample_to_csv(th_csv, SampleData(indices=np.arange(10), pi=pi, d=1.0 / pi,
+    sample_to_csv(th_csv, SampleData(indices=np.arange(10), pi=pi,
                                      respond=th.respond), th.y, th.z1, th.z1)
     imps = []
     for tag in ("a", "b"):

@@ -19,7 +19,7 @@ def write_thompson_csv(path, respond=None):
     th = load_thompson_example()
     pi = np.full(10, 10 / 53)
     respond = th.respond if respond is None else respond
-    s = SampleData(indices=np.arange(10), pi=pi, d=1.0 / pi, respond=respond)
+    s = SampleData(indices=np.arange(10), pi=pi, respond=respond)
     sample_to_csv(path, s, th.y, th.z1, th.z1)
 
 
@@ -296,7 +296,7 @@ def test_impute_numerical_failure_writes_nothing(tmp_path, capsys, monkeypatch, 
 
 def donor_rows(sample, dataset):
     """The report's donors as dicts, for ``json.dumps`` to encode: the
-    reference ``cli._donors_text`` must match byte for byte."""
+    reference the report's donor text must match byte for byte."""
     ids = (sample.indices + 1).tolist()
     col_ids = [str(ids[j]) for j in dataset.col_units.tolist()]
     return [
@@ -323,7 +323,7 @@ def imputed_datasets(tmp_path):
         yield sample, imputation.impute_ebri(fit, z1[:, None], y, v, sample.d, rng,
                                              with_purity_vars=False)
     pi = np.full(5, 0.5)
-    small = SampleData(indices=np.array([0, 8, 44, 99, 444]), pi=pi, d=1.0 / pi)
+    small = SampleData(indices=np.array([0, 8, 44, 99, 444]), pi=pi)
     by_hand = imputation.ImputedDataset(
         method="ebri", y_star=np.zeros(5), eps_star=np.zeros(5),
         respond=np.array([False, True, True, True, False]),
@@ -337,16 +337,26 @@ def imputed_datasets(tmp_path):
                                      shares=np.zeros((0, 1)), pure=np.zeros(0, dtype=bool))
 
 
-def test_report_text_matches_json_encoder(tmp_path):
+def report_bytes(path, report, sample, dataset):
+    """The report file ``impute --report`` writes for ``report`` and ``dataset``."""
+    cli._write_report(path, cli._report_parts(report, dataset), sample, dataset)
+    return path.read_bytes()
+
+
+def test_report_text_matches_json_encoder(tmp_path, monkeypatch):
     report = {"balance_target": 1.5, "balance_achieved": 1.5, "balance_relative_error": 0.0,
               "method": "ebri", "model": {"beta": [0.5], "respondents": [1, 2]}, "nhat": 10.0}
-    for sample, dataset in imputed_datasets(tmp_path):
-        want = json.dumps({**report, "donors": donor_rows(sample, dataset)}, indent=2,
-                          sort_keys=True) + "\n"
-        assert cli._report_text(report, sample, dataset) == want
+    path = tmp_path / "report.json"
+    # the donor rows in one chunk, and across many
+    for chunk_rows in (cli.CHUNK_ROWS, 7):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+        for sample, dataset in imputed_datasets(tmp_path):
+            want = json.dumps({**report, "donors": donor_rows(sample, dataset)}, indent=2,
+                              sort_keys=True) + "\n"
+            assert report_bytes(path, report, sample, dataset) == want.encode(), chunk_rows
     dri = dataclasses.replace(dataset, donors=None, shares=None, pure=None)
-    assert cli._report_text(report, sample, dri) == json.dumps(report, indent=2,
-                                                              sort_keys=True) + "\n"
+    want = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert report_bytes(path, report, sample, dri) == want.encode()
 
 
 def test_simulate_missing_config(tmp_path, capsys):

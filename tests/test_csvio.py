@@ -20,7 +20,7 @@ def sample_text(tmp_path):
     """A 6-unit sample file as ``sample_to_csv`` writes it (CRLF ends)."""
     rng = np.random.default_rng(5)
     pi = rng.uniform(0.01, 0.05, 6)
-    sample = SampleData(indices=np.array([3, 8, 11, 40, 41, 97]), pi=pi, d=1.0 / pi,
+    sample = SampleData(indices=np.array([3, 8, 11, 40, 41, 97]), pi=pi,
                         respond=np.array([True, False, True, True, False, True]))
     z1 = rng.gamma(2.0, 5.0, 6)
     path = tmp_path / "base.csv"

@@ -146,9 +146,8 @@ def test_grid_phase_2_matches_oracle():
     for case in range(300):
         n_m = int(rng.integers(1, 31))
         n_r = int(rng.integers(2, 31))
-        problem = build_cells(*random_grid(rng, n_m, n_r, ties=case % 2 == 1))
-        g = problem.grid
-        res = flight_phase(problem, np.random.default_rng(case))
+        g = build_cells(*random_grid(rng, n_m, n_r, ties=case % 2 == 1))
+        res = flight_phase(g, np.random.default_rng(case))
         u = np.random.default_rng(case).random(2 * n_m)
         lo, hi, x_lo, _, w = cube._splitting(g.psi_row, g.residuals)
         cum = np.cumsum(w)

@@ -7,13 +7,15 @@ report on an n = 300 sample, that call's CSV and report bytes and its
 report with ``--explain``, the seeded ``rri`` imputed CSV, the CSV and
 report of a seeded ``impute --method ebri --no-purity-vars`` on that
 sample, the tables of a small seeded ``simulate`` on each design, the
-same at one worker and at two, and the files a seeded ``generate`` and
-``sample`` write, which the readers must read back bit for bit.  The ebri report's donors, steps and
-fractional cells depend only on the flight's trajectory, not on how the
-split row's residual mix is rounded, so they are pinned exactly.  The
-n = 300 sample is drawn with numpy alone, so the ``impute`` pins do not
-depend on the package's population generator or sampler; the ``simulate``
-pins cover those.
+same at one worker and at two, the files a seeded ``generate`` and
+``sample`` write, which the readers must read back bit for bit, and the
+arrays behind them: ``population_truths`` of a seeded population and five
+``rejective_sample`` draws on each proposal.  The ebri report's donors,
+steps and fractional cells depend only on the flight's trajectory, not on
+how the split row's residual mix is rounded, so they are pinned exactly.
+The n = 300 sample is drawn with numpy alone, so the ``impute`` pins do
+not depend on the package's population generator or sampler; the
+``simulate`` pins cover those.
 """
 
 import hashlib
@@ -23,8 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from balimpute.cli import main
+from balimpute.estimators import population_truths
 from balimpute.population import PopulationRecipe, generate_population, population_from_csv
 from balimpute.sampling import (
+    RejectiveDesign,
     SampleData,
     pips_probabilities,
     rejective_sample,
@@ -110,6 +114,11 @@ SAMPLE_SHA256 = {
     "pips-rejective": "6728f80caef0253f626120145de1766cf1685d148038e51151c680c6cdc279b3",
     "srswor": "bdedb1820a9dd23d0f98466f4135f9c0a0938d3445ad7b9c0b7e3c604a305ce2",
 }
+TRUTHS_SHA256 = "577265c8ac781e0e8c6df372fd3a65666627d633094d0662868764ae19556aa8"
+REJECTIVE_SHA256 = {
+    20: ("multinomial", "3effe81b6ebf27315e699f355c91bbeaee418af67f55f9ee9017b2e7220641fe"),
+    400: ("bernoulli", "89c0df3c6f15093aaeee78b23f32af96dd59fddab99d1b919552e6021998fee3"),
+}
 
 
 def write_sample_300(path, scale=1.0):
@@ -121,7 +130,7 @@ def write_sample_300(path, scale=1.0):
     pi = rng.uniform(0.01, 0.05, n)
     respond = rng.random(n) < 0.55
     sample = SampleData(indices=np.sort(rng.choice(100_000, n, replace=False)), pi=pi,
-                        d=1.0 / pi, respond=respond)
+                        respond=respond)
     sample_to_csv(path, sample, y * scale, z1, z1)
 
 
@@ -218,3 +227,25 @@ def test_generate_and_sample_files_pinned(tmp_path, capsys):
                           (y, pop.y[idx]), (z1, pop.z1[idx]), (v, pop.v[idx])):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), design
     capsys.readouterr()
+
+
+def test_truths_and_rejective_draws_pinned():
+    recipe_path = Path(__file__).resolve().parent.parent / "configs" / "recipe.json"
+    with open(recipe_path, encoding="utf-8") as fh:
+        pop = generate_population(PopulationRecipe.from_json(fh.read()), np.random.default_rng(1))
+    t_alpha, f_alpha = population_truths(pop.y, (0.1, 0.25, 0.5, 0.75, 0.9, 1.0))
+    assert sha256(np.array(t_alpha + f_alpha).tobytes()) == TRUTHS_SHA256
+
+    # a pips design on 2,000 gamma sizes takes the multinomial proposal at
+    # n = 20 and the Bernoulli one at n = 400
+    sizes = np.random.default_rng(2).gamma(2.0, 5.0, 2000)
+    for n, (proposal, pin) in REJECTIVE_SHA256.items():
+        design = RejectiveDesign(pips_probabilities(sizes, n))
+        assert design.proposal == proposal
+        rng = np.random.default_rng(3)
+        h = hashlib.sha256()
+        for _ in range(5):
+            sample = rejective_sample(design, rng)
+            for x in (sample.indices, sample.pi, sample.d):
+                h.update(x.tobytes())
+        assert h.hexdigest() == pin, n

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from flight_oracle import grid_cells
 
+from balimpute.cube import CellGrid
 from balimpute.estimators import imputed_total
 from balimpute.imputation import (
     MAX_GRID_CELLS,
@@ -108,14 +109,14 @@ def test_build_cells_thompson_grid():
     th, fit = thompson_setup()
     dv = th.d[6:] * np.sqrt(th.z1[6:])
     problem = build_cells(fit.omega_tilde[:6], fit.residuals[:6], dv)
+    # the flight walks the grid by its factors, every row from psi_row: no
+    # start vector and no matrix is built
+    assert isinstance(problem, CellGrid)
     assert problem.n_cells == 24
-    assert problem.pi0 is None  # every row starts at psi_row
-    assert np.all(problem.grid.psi_row == pytest.approx(1 / 6, rel=1e-12))
-    assert problem.grid.n_rows == 4  # four purity rows beside the balance row
-    # the flight walks the grid by its factors: no matrix is built
-    assert problem.a_matrix is None
-    np.testing.assert_array_equal(problem.grid.dv, dv)
-    np.testing.assert_array_equal(problem.grid.residuals, fit.residuals[:6])
+    assert np.all(problem.psi_row == pytest.approx(1 / 6, rel=1e-12))
+    assert problem.n_rows == 4  # four purity rows beside the balance row
+    np.testing.assert_array_equal(problem.dv, dv)
+    np.testing.assert_array_equal(problem.residuals, fit.residuals[:6])
     # without purity variables, the one balance row dv_k e_l, cell by cell
     problem = build_cells(fit.omega_tilde[:6], fit.residuals[:6], dv, with_purity_vars=False)
     assert problem.a_matrix.shape == (1, 24)
@@ -140,7 +141,7 @@ def test_balance_problem_memory_is_linear_in_cells():
         peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    assert problem.n_cells == 250_000 and problem.grid.n_rows == 500
+    assert problem.n_cells == 250_000 and problem.n_rows == 500
     assert peak_mb < 64.0, peak_mb
 
 
@@ -162,7 +163,7 @@ def test_dri_thompson_values():
     assert ds.y_star[6] == pytest.approx(0.95 * 33.9 / 35.9, rel=1e-12)
     assert f"{ds.y_star[6]:.2f}" == "0.90"
     assert np.array_equal(ds.y_star[:6], th.y[:6])
-    assert ds.flight is None and ds.donors is None and ds.shares is None
+    assert ds.steps is None and ds.donors is None and ds.shares is None
 
 
 # --- random regression imputation ------------------------------------------
@@ -261,7 +262,7 @@ def test_ebri_without_purity_vars_still_balances():
                          np.random.default_rng(seed), with_purity_vars=False)
         assert abs(balance_gap(fit, ds, th.d, th.z1)) < 1e-10
         # single constraint: at most one fractional cell
-        assert ds.flight.n_fractional <= 1
+        assert np.count_nonzero((ds.shares > 0.0) & (ds.shares < 1.0)) <= 1
 
 
 def test_ebri_memory_is_linear_in_sample_size():

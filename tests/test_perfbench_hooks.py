@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` wraps product functions by name on the ``cli``,
 ``harness`` and ``imputation`` namespaces, and ``perfbench/run.py`` times a
 fixed set-up snippet.  A refactor that renames or drops one of those names
-fails here, not only in a benchmark run.
+fails here, not only in a benchmark run.  ``perfbench/selfcheck.py``'s trace
+gates, which build and replace the product's dataclasses, run here too.
 """
 
 import importlib
@@ -32,3 +33,14 @@ def test_benchmark_setup_and_tracing_hooks(monkeypatch, capsys):
     assert errors == []
     names = {span[0] for span in tracer.spans}
     assert {"imputation.build_cells", "cube.flight_phase"} <= names
+
+
+def test_benchmark_trace_gates_pass_on_the_product(monkeypatch, capsys):
+    # the self-check's product-facing part: a real ebri draw, replace() on an
+    # ImputedDataset and a SampleData, and rejective_sample with raw pi
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    selfcheck = importlib.import_module("selfcheck")
+    checks = selfcheck.Checks()
+    selfcheck.check_trace_gates(checks)
+    capsys.readouterr()
+    assert checks.failures == []

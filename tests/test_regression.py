@@ -133,6 +133,20 @@ def test_fit_validation():
                       np.array([True, True]), 10, spec=ModelSpec(a=a))
 
 
+@pytest.mark.parametrize("array, unit, value", [
+    ("z", 0, np.nan), ("z", 0, np.inf), ("v", 0, np.nan), ("v", 0, np.inf),
+    ("z", 3, np.nan),  # unit 3 is a nonrespondent
+], ids=["z_nan_respondent", "z_inf_respondent", "v_nan_respondent", "v_inf_respondent",
+        "z_nan_nonrespondent"])
+def test_fit_rejects_non_finite_z_or_v(array, unit, value):
+    z1 = np.array([1.0, 2.0, 3.0, 4.0])
+    arrays = {"z": z1.copy(), "v": z1.copy()}
+    arrays[array][unit] = value
+    with pytest.raises(ValueError, match=f"{array} must be finite"):
+        fit_model(arrays["z"][:, None], np.array([1.0, 2.5, 2.0, np.nan]), arrays["v"],
+                  np.array([True, True, True, False]), 10)
+
+
 def test_report_dict_shape():
     th, fit = thompson_fit()
     rep = fit.report_dict()

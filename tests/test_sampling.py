@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -229,16 +230,19 @@ def test_srswor_weights():
 
 def test_sample_data_invariant():
     pi = np.array([0.5, 0.25])
+    s = SampleData(indices=np.array([0, 1]), pi=pi)
+    assert np.array_equal(s.d, 1.0 / pi)
+    # d is derived from pi, not stored: a replaced pi brings its own d
+    assert np.array_equal(dataclasses.replace(s, pi=pi[::-1].copy()).d, [4.0, 2.0])
     with pytest.raises(ValueError):
-        SampleData(indices=np.array([0, 1]), pi=pi, d=np.array([2.0, 4.000001]))
-    with pytest.raises(ValueError):
-        SampleData(indices=np.array([0, 1]), pi=np.array([0.5, 1.5]),
-                   d=np.array([2.0, 1 / 1.5]))
+        SampleData(indices=np.array([0, 1]), pi=np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="share a shape"):
+        SampleData(indices=np.array([0, 1, 2]), pi=pi)
 
 
 def test_sample_csv_roundtrip(tmp_path):
     pi = np.array([0.2, 0.4, 0.8, 0.5])
-    s = SampleData(indices=np.array([3, 7, 9, 12]), pi=pi, d=1.0 / pi,
+    s = SampleData(indices=np.array([3, 7, 9, 12]), pi=pi,
                    respond=np.array([True, False, True, True]))
     y = np.array([1.5, np.nan, 3.25, 4.0])
     z1 = np.array([1.0, 2.0, 3.0, 4.0])
