@@ -2,16 +2,14 @@
 
 Each grid is an n x n imputation grid (n nonrespondent rows, n donor
 columns, one balance row plus n purity rows) built the way ``impute_ebri``
-builds it, through ``imputation.build_cells``.  Every grid is walked by the
-grid walk ``flight_phase`` takes on that problem; grids up to
-``ONE_ROW_MAX`` are also built without purity variables, as
-``impute --no-purity-vars`` builds them, and walked by the one-row walk,
-which holds every cell and takes about one step per cell.  For each walk
-the script reports the build time, the flight time (median and range over
-the repeats) and flight steps per second.  Each grid runs in a fresh
-interpreter, so its ``peak_rss_mb``, read with ``resource.getrusage`` after
-its walks, is that grid's own; ``base_rss_mb`` is the same interpreter's
-peak before the grid is built.
+builds it, through ``imputation.build_cells``, and walked by the grid walk
+``flight_phase`` takes on that problem; its second phase is the one-row
+walk on the rows phase 1 leaves split.  For each grid the script reports
+the build time, the flight time (median and range over the repeats) and
+flight steps per second.  Each grid runs in a fresh interpreter, so its
+``peak_rss_mb``, read with ``resource.getrusage`` after its walks, is that
+grid's own; ``base_rss_mb`` is the same interpreter's peak before the grid
+is built.
 
 Run from the repo root:
 
@@ -30,10 +28,8 @@ import time
 
 import numpy as np
 
-from balimpute.cube import BalanceProblem, CellGrid, flight_phase
+from balimpute.cube import CellGrid, flight_phase
 from balimpute.imputation import build_cells
-
-ONE_ROW_MAX = 500  # largest n also walked without purity variables (its cells are held)
 
 
 def peak_rss_mb() -> float:
@@ -42,7 +38,7 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 1e6
 
 
-def time_flight(problem: CellGrid | BalanceProblem, seed: int, repeats: int) -> dict:
+def time_flight(problem: CellGrid, seed: int, repeats: int) -> dict:
     times = []
     for _ in range(repeats):
         rng = np.random.default_rng(seed)
@@ -59,9 +55,8 @@ def time_flight(problem: CellGrid | BalanceProblem, seed: int, repeats: int) -> 
     }
 
 
-def time_grid(n: int, seed: int, repeats: int, one_row: bool = True) -> dict:
-    """The grid walk's numbers at the top level; when ``one_row`` is set,
-    those of the same grid without purity variables under ``one_row``."""
+def time_grid(n: int, seed: int, repeats: int) -> dict:
+    """The n x n grid's build and grid walk numbers, and the peak RSS."""
     base_rss = peak_rss_mb()
     rng = np.random.default_rng(seed)
     residuals = rng.standard_normal(n)  # drawn before dv, as for BENCH_4.json
@@ -69,22 +64,15 @@ def time_grid(n: int, seed: int, repeats: int, one_row: bool = True) -> dict:
     t0 = time.perf_counter()
     problem = build_cells(np.full(n, 1.0 / n), residuals, dv)
     build_s = time.perf_counter() - t0
-    row = {
+    return {
         "grid": f"{n}x{n}",
         "cells": problem.n_cells,
         "constraints": 1 + problem.n_rows,  # the balance row and a purity row per row
         "build_ms": round(build_s * 1e3, 2),
         **time_flight(problem, seed, repeats),
+        "base_rss_mb": round(base_rss, 1),
+        "peak_rss_mb": round(peak_rss_mb(), 1),
     }
-    if one_row:
-        t0 = time.perf_counter()
-        flat = build_cells(np.full(n, 1.0 / n), residuals, dv, with_purity_vars=False)
-        build_s = time.perf_counter() - t0
-        row["one_row"] = {"build_ms": round(build_s * 1e3, 2),
-                          **time_flight(flat, seed, repeats)}
-    row["base_rss_mb"] = round(base_rss, 1)
-    row["peak_rss_mb"] = round(peak_rss_mb(), 1)
-    return row
 
 
 def main() -> int:
@@ -97,7 +85,7 @@ def main() -> int:
     args = parser.parse_args()
 
     report = {
-        "benchmark": "flight_phase on n x n ebri grids: grid walk, and one-row walk without purity variables",
+        "benchmark": "flight_phase on n x n ebri grids: the grid walk",
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -114,16 +102,11 @@ def main() -> int:
     ctx = multiprocessing.get_context("spawn")
     for n in sorted(int(x) for x in args.grids.split(",")):
         with ctx.Pool(1) as pool:  # a fresh interpreter: the peak RSS is this grid's
-            row = pool.apply(time_grid, (n, args.seed, args.repeats, n <= ONE_ROW_MAX))
+            row = pool.apply(time_grid, (n, args.seed, args.repeats))
         report["grids"].append(row)
-        walks = [("grid walk", row)]
-        if "one_row" in row:
-            walks.append(("one row", row["one_row"]))
-        for name, walk in walks:
-            print(f"{row['grid']:>11} {name:>9}: {row['cells']:>9} cells  "
-                  f"{walk['steps']:>7} steps  flight {walk['flight_ms_median']:10.1f} ms  "
-                  f"{walk['steps_per_s']:>8} steps/s")
-        print(f"{'':>22}peak RSS {row['peak_rss_mb']:.1f} MB "
+        print(f"{row['grid']:>11}: {row['cells']:>9} cells  {row['steps']:>7} steps  "
+              f"flight {row['flight_ms_median']:10.1f} ms  {row['steps_per_s']:>8} steps/s  "
+              f"peak RSS {row['peak_rss_mb']:.1f} MB "
               f"(before the grid {row['base_rss_mb']:.1f} MB)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -20,7 +20,7 @@ from .csvio import CHUNK_ROWS, write_csv
 from .cube import FlightPhaseError
 from .estimators import imputed_total, nhat
 from .harness import ExperimentConfig, run_experiment, write_tables
-from .imputation import GridTooLargeError, impute_dri, impute_ebri, impute_rri
+from .imputation import impute_dri, impute_ebri, impute_rri
 from .population import (
     PopulationRecipe,
     generate_population,
@@ -192,10 +192,7 @@ def cmd_impute(args) -> int:
             ds = impute_rri(fit, z1[:, None], y, v, rng)
         else:
             try:
-                ds = impute_ebri(fit, z1[:, None], y, v, sample.d, rng,
-                                 with_purity_vars=not args.no_purity_vars)
-            except GridTooLargeError as exc:
-                raise InputError(f"cannot impute {args.input}: {exc}") from exc
+                ds = impute_ebri(fit, z1[:, None], y, v, sample.d, rng)
             except FlightPhaseError as exc:
                 raise NumericalFailure(f"the flight phase failed: {exc}") from exc
         if not np.isfinite(ds.y_star).all():
@@ -335,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--report", help="write a JSON imputation report here")
     i.add_argument("--explain", action="store_true", help="include the model fit in the report")
     i.add_argument("--a", type=float, help="eigenvalue floor override")
-    i.add_argument("--no-purity-vars", action="store_true",
-                   help="balance only the imputed total, not per-row purity")
     i.set_defaults(func=cmd_impute)
 
     m = sub.add_parser("simulate", help="run a Monte Carlo experiment from a config JSON")

@@ -9,12 +9,11 @@ face it hits, choosing the sign with the probability that keeps every
 coordinate a martingale, and sets the coordinate that bounds the step to
 that face.
 
-The program builds two kinds of problem, and ``flight_phase`` walks each
-by its type: the imputation grid, a ``CellGrid``, whose n_m + 1
-constraints the walk reads from their structure without forming A; and a
-single balancing row, a ``BalanceProblem`` with a (1, M) A and its start
-pi0.  One walk steps every single balancing row, the grid's second phase
-included.
+``flight_phase`` walks two kinds of problem, each by its type: the
+imputation grid, a ``CellGrid``, whose n_m + 1 constraints the walk reads
+from their structure without forming A; and a single balancing row, a
+``BalanceProblem`` with a (1, M) A and its start pi0.  One walk steps
+every single balancing row, the grid's second phase included.
 
 **The imputation grid** (``CellGrid``): n_m nonrespondent rows by n_r donor
 columns, cell (k, l) starting at psi_l.  The matrix is one balance row
@@ -68,12 +67,11 @@ of the grid problem: it keeps the balance row and every row sum, and
 E[itilde] = pi0.  Phase 1 uses one uniform per row and each step of
 phase 2 fixes a split row, so there are at most 2 n_m steps.
 
-**One balancing row** (a ``BalanceProblem``'s (1, M) ``a_matrix``, as
-``build_cells`` gives without purity variables, or phase 2's (t, c)) is
-walked from its start itself, one uniform per step.  Each step reads the
-two lowest fractional cells c1 < c2, the window of Chauvet & Tille (2006)
-at q = 1, and takes the first null vector a Gauss-Jordan elimination of
-the restricted row gives under that order:
+**One balancing row** (a ``BalanceProblem``'s (1, M) ``a_matrix``, or
+phase 2's (t, c)) is walked from its start itself, one uniform per step.
+Each step reads the two lowest fractional cells c1 < c2, the window of
+Chauvet & Tille (2006) at q = 1, and takes the first null vector a
+Gauss-Jordan elimination of the restricted row gives under that order:
 
 1. when one fractional cell is left and its a is not 0, the restricted
    kernel is trivial and the walk stops;

@@ -121,10 +121,18 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if not self.methods:
+            raise ValueError("at least one method required")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"each method may be named once, got {list(self.methods)}")
         if not self.populations:
             raise ValueError("at least one population recipe required")
         if not self.mechanisms:
             raise ValueError("at least one response mechanism required")
+        # a mechanism's label names its table columns and its cell
+        labels = [m.label for m in self.mechanisms]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"each mechanism label may occur once, got {labels}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not np.isfinite(self.mar_lambda1):

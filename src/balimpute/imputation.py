@@ -27,19 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .cube import BalanceProblem, CellGrid, FlightPhaseError, flight_phase
+from .cube import CellGrid, flight_phase
 from .regression import FittedModel, NoRespondentsError
 
 MAR_CALIBRATION_TOL = 1e-6
-# largest nonrespondent x donor grid impute_ebri walks without purity
-# variables, where the one-row walk holds every cell: 8x the 500 x 500
-# grid of benchmarks/bench_flight_phase.py.  The grid walk holds two donors
-# per row and needs no cap
-MAX_GRID_CELLS = 2_000_000
-
-
-class GridTooLargeError(ValueError):
-    """The ebri cell grid without purity variables exceeds MAX_GRID_CELLS."""
 
 
 # ---------------------------------------------------------------------------
@@ -159,29 +150,19 @@ def build_cells(
     psi_row: npt.NDArray[np.float64],
     residuals: npt.NDArray[np.float64],
     dv: npt.NDArray[np.float64],
-    with_purity_vars: bool = True,
-) -> CellGrid | BalanceProblem:
+) -> CellGrid:
     """Flight problem of the nonrespondent x donor grid behind the
     balanced selection.
 
     Cell (k, l), in row-major order, starts at the donation weight
     ``psi_row[l]`` of donor l, the same in every nonrespondent row k.  The
     balancing variables come already divided by psi: dv_k e_l in the
-    balance row (dv_k = d_k v_k^{1/2}) and, with purity variables on, the
-    indicator of row k.  That problem is the grid itself, a CellGrid, which
+    balance row (dv_k = d_k v_k^{1/2}) and the indicator of row k, its
+    purity variable.  That problem is the grid itself, a CellGrid, which
     the flight walks row by row and never builds a cell array or a matrix
-    for; without purity variables it is a BalanceProblem, the one balance
-    row, one entry per cell, from the start pi0 that repeats psi_row in
-    every row.  A balance row that overflows, though its factors are
-    finite, is a FlightPhaseError.
+    for.
     """
-    grid = CellGrid(psi_row, residuals, dv)
-    if with_purity_vars:
-        return grid
-    a_matrix = np.outer(grid.dv, grid.residuals).reshape(1, -1)
-    if not np.isfinite(a_matrix).all():
-        raise FlightPhaseError("the balance row dv_k e_l overflows")
-    return BalanceProblem(pi0=np.tile(grid.psi_row, grid.n_rows), a_matrix=a_matrix)
+    return CellGrid(psi_row, residuals, dv)
 
 
 @dataclass(frozen=True)
@@ -196,7 +177,7 @@ class ImputedDataset:
     so eps_star at the row is sum_j shares[k, j] e[donors[k, j]].  A share
     of 0 adds nothing, and its donor may repeat one the row names already.
     rri has w = 1.  ebri has w = 2, the two donors a row of the grid walk
-    ends on; without purity variables w is the most donors any row took.
+    ends on.
     ``pure`` flags nonrespondent rows served by a single donor, and
     ``steps`` counts the flight's steps, None where no flight ran.
     """
@@ -258,37 +239,19 @@ def impute_ebri(
     v,
     d,
     rng: np.random.Generator,
-    with_purity_vars: bool = True,
 ) -> ImputedDataset:
-    """Exact balanced random imputation via one flight phase over the cells.
-    Without purity variables, raises GridTooLargeError, before allocating
-    the grid, when it would have more than MAX_GRID_CELLS cells."""
+    """Exact balanced random imputation via one flight phase over the cells."""
     rows, cols = _donor_split(model.respond)
-    n_m, n_r = rows.size, cols.size
-    if not with_purity_vars and n_m * n_r > MAX_GRID_CELLS:
-        raise GridTooLargeError(
-            f"{n_m} nonrespondents x {n_r} donors = {n_m * n_r} cells, "
-            f"above the limit of {MAX_GRID_CELLS} without purity variables")
-    if n_m == 0:
+    if rows.size == 0:
         return _imputed("ebri", model, z, y, v, rows, cols, np.zeros(0))
     v = np.asarray(v, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     residuals = model.residuals[cols]
-    problem = build_cells(model.omega_tilde[cols], residuals, d[rows] * np.sqrt(v[rows]),
-                          with_purity_vars=with_purity_vars)
+    problem = build_cells(model.omega_tilde[cols], residuals, d[rows] * np.sqrt(v[rows]))
     flight = flight_phase(problem, rng)
-    if flight.itilde is None:
-        donors, shares = flight.donors, flight.shares
-        # x_a e_a + x_b e_b: each row's two shares times their residuals
-        eps_rows = (shares * residuals[donors]).sum(axis=1)
-    else:
-        # one balance row lets a row take any number of donors: list each
-        # row's in ascending column order, padded to the widest with shares 0
-        itilde = flight.itilde.reshape(n_m, n_r)
-        eps_rows = itilde @ residuals
-        width = max(int(np.count_nonzero(itilde, axis=1).max()), 1)
-        donors = np.argsort(itilde == 0.0, axis=1, kind="stable")[:, :width]
-        shares = np.take_along_axis(itilde, donors, axis=1)
+    donors, shares = flight.donors, flight.shares
+    # x_a e_a + x_b e_b: each row's two shares times their residuals
+    eps_rows = (shares * residuals[donors]).sum(axis=1)
     pure = ~((shares > 0.0) & (shares < 1.0)).any(axis=1)
     return _imputed("ebri", model, z, y, v, rows, cols, eps_rows, donors=donors,
                     shares=shares, pure=pure, steps=flight.steps)

@@ -9,10 +9,13 @@ on a (1, M) matrix and in the grid walk's second phase, and must reproduce
 package walk, it starts at pi itself, sets the cell whose bound sets the
 step length (the first in window order on a tie) to its face, and clamps
 every other moved cell to [0, 1].  ``grid_cells`` expands the row-sparse
-end point of a grid walk or donor selection for the tests that read cells.
+end point of a grid walk or donor selection for the tests that read cells,
+and ``one_row_problem`` builds the one-row problem of an imputation grid.
 """
 
 import numpy as np
+
+from balimpute.cube import BalanceProblem
 
 FLIGHT_OK = 0
 FLIGHT_DEGENERATE = 1
@@ -26,6 +29,14 @@ def grid_cells(donors, shares, n_donors):
     x = np.zeros((n_m, n_donors))
     np.add.at(x, (np.repeat(np.arange(n_m), width), donors.ravel()), shares.ravel())
     return x
+
+
+def one_row_problem(psi_row, residuals, dv):
+    """The n_m x n_r grid of ``build_cells`` with its balance row dv_k e_l
+    alone, without the purity rows: one balancing row, each cell starting
+    at its donor's psi, in row-major order."""
+    return BalanceProblem(pi0=np.tile(psi_row, len(dv)),
+                          a_matrix=np.outer(dv, residuals).reshape(1, -1))
 
 
 def _flight_numpy(pi, a, u, pivot_rtol, lam_guard, record, history):

@@ -17,5 +17,3 @@ def test_bench_flight_phase_times_a_grid():
     assert row["cells"] == 100
     assert row["constraints"] == 11
     assert row["steps"] >= 1
-    # the same grid without purity variables, through the one-row walk
-    assert row["one_row"]["steps"] >= 1

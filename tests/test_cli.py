@@ -229,48 +229,20 @@ def test_impute_without_respondents_is_bad_input(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cap, code", [(23, 2), (24, 0)])
-def test_impute_ebri_grid_cap(tmp_path, capsys, monkeypatch, cap, code):
-    # the Thompson sample's grid is 4 nonrespondents x 6 donors = 24 cells;
-    # only the one-row walk, without purity variables, holds them all
-    monkeypatch.setattr(imputation, "MAX_GRID_CELLS", cap)
-    src = tmp_path / "s.csv"
-    write_thompson_csv(src)
-    out = tmp_path / "x.csv"
-    got, _, err = run(capsys, "impute", "--input", str(src), "--method", "ebri",
-                      "--seed", "1", "--no-purity-vars", "--out", str(out))
-    assert got == code
-    assert out.exists() == (code == 0)
-    if code:
-        assert "24 cells, above the limit of 23 without purity variables" in err
-
-
-def test_impute_ebri_grid_walk_has_no_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(imputation, "MAX_GRID_CELLS", 0)
-    src = tmp_path / "s.csv"
-    write_thompson_csv(src)
-    out = tmp_path / "x.csv"
-    got, _, _ = run(capsys, "impute", "--input", str(src), "--method", "ebri",
-                    "--seed", "1", "--out", str(out))
-    assert got == 0 and out.exists()
-
-
 # the report's balance target of dri overflows where one nonrespondent's
 # d sqrt(v) does, though its imputed value and the total stay finite
 HUGE_WEIGHT = {"pi": "1e-200", "d": "1e+200", "v": "1e300"}
 
 
-@pytest.mark.parametrize("method, scale, swap_shares, corrupt, flags, message", [
-    ("ebri", 1.0, True, {}, [], "balance identity violated"),
-    ("ebri", 1e304, False, {}, [], "the imputed total is not finite"),
-    ("ebri", 1e305, False, {}, [], "the flight phase failed"),
-    ("ebri", 1e305, False, {}, ["--no-purity-vars"], "the flight phase failed"),
-    ("ebri", 1e306, False, {}, [], "the model fit is not finite"),
-    ("dri", 1.0, False, HUGE_WEIGHT, [], "the report holds a non-finite value"),
-], ids=["broken_balance", "y_1e304", "y_1e305", "y_1e305_no_purity_vars", "y_1e306",
-        "dri_report_not_finite"])
+@pytest.mark.parametrize("method, scale, swap_shares, corrupt, message", [
+    ("ebri", 1.0, True, {}, "balance identity violated"),
+    ("ebri", 1e304, False, {}, "the imputed total is not finite"),
+    ("ebri", 1e305, False, {}, "the flight phase failed"),
+    ("ebri", 1e306, False, {}, "the model fit is not finite"),
+    ("dri", 1.0, False, HUGE_WEIGHT, "the report holds a non-finite value"),
+], ids=["broken_balance", "y_1e304", "y_1e305", "y_1e306", "dri_report_not_finite"])
 def test_impute_numerical_failure_writes_nothing(tmp_path, capsys, monkeypatch, method, scale,
-                                                 swap_shares, corrupt, flags, message):
+                                                 swap_shares, corrupt, message):
     if swap_shares:
         real = imputation.flight_phase
 
@@ -286,7 +258,7 @@ def test_impute_numerical_failure_writes_nothing(tmp_path, capsys, monkeypatch, 
         corrupt_last_row(src, column, text, respondent=False)
     out, report = tmp_path / "x.csv", tmp_path / "x.json"
     code, stdout, err = run(capsys, "impute", "--input", str(src), "--method", method,
-                            "--seed", "1", *flags, "--out", str(out), "--report", str(report))
+                            "--seed", "1", "--out", str(out), "--report", str(report))
     assert code == 1
     assert stdout == ""
     assert len(err.splitlines()) == 1, err
@@ -308,10 +280,10 @@ def donor_rows(sample, dataset):
 
 
 def imputed_datasets(tmp_path):
-    """Datasets of each method on the n = 300 sample, with and without
-    purity variables, and two built by hand: rows whose donor ids sort
-    otherwise as text than as numbers, a donor named twice, a row with no
-    positive share, and a dataset with no row."""
+    """Datasets of each method on the n = 300 sample, and two built by
+    hand: rows whose donor ids sort otherwise as text than as numbers, a
+    row of three donors, a donor named twice, a row with no positive share,
+    and a dataset with no row."""
     src = tmp_path / "s.csv"
     write_sample_300(src)
     sample, y, z1, v = cli.sample_from_csv(src)
@@ -320,8 +292,6 @@ def imputed_datasets(tmp_path):
         rng = np.random.default_rng(seed)
         yield sample, imputation.impute_rri(fit, z1[:, None], y, v, rng)
         yield sample, imputation.impute_ebri(fit, z1[:, None], y, v, sample.d, rng)
-        yield sample, imputation.impute_ebri(fit, z1[:, None], y, v, sample.d, rng,
-                                             with_purity_vars=False)
     pi = np.full(5, 0.5)
     small = SampleData(indices=np.array([0, 8, 44, 99, 444]), pi=pi)
     by_hand = imputation.ImputedDataset(
@@ -431,6 +401,9 @@ def test_beta_of_two_entries_is_bad_input(tmp_path, capsys):
     {"mechanisms": [{"kind": "mcar", "levle": 0.5}]},
     {"workers": 2.0},
     {"sample_size": 20.5},
+    {"mechanisms": [{"kind": "mcar", "level": 0.5}, {"kind": "mcar", "level": 0.5000001}]},
+    {"methods": ["rri", "ebri", "rri"]},
+    {"methods": []},
 ])
 def test_simulate_dry_run_rejects_configs_that_cannot_run(tmp_path, capsys, override):
     cfg = tmp_path / "c.json"
@@ -505,7 +478,14 @@ def test_readme_python_block_runs(capsys):
     assert f"{float(capsys.readouterr().out):.2f}" == "218.33"
 
 
-def test_unknown_flag_rejected(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["example", "--frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_flag_rejected(tmp_path, monkeypatch):
+    # the removed purity flag of impute is rejected, not ignored
+    monkeypatch.chdir(tmp_path)
+    write_thompson_csv(tmp_path / "s.csv")
+    for argv in (["example", "--frobnicate"],
+                 ["impute", "--input", "s.csv", "--method", "ebri", "--seed", "1",
+                  "--no-purity-vars", "--out", "x.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"], argv

@@ -2,15 +2,17 @@
 
 For a given problem and uniforms the two must agree bit for bit: the same
 final itilde and the same step count, with the reference ending normally.
-The grid walk's second phase steps one balancing row too, and must agree
-with the reference on it.
+Besides random rows, the problems include the one balance row of
+imputation grids, built by ``one_row_problem``.  The grid walk's second
+phase steps one balancing row too, and must agree with the reference on
+it.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from flight_oracle import FLIGHT_OK, _flight_numpy
+from flight_oracle import FLIGHT_OK, _flight_numpy, one_row_problem
 from test_cube import random_problem
 from test_grid_walk import random_grid
 
@@ -35,7 +37,7 @@ def assert_same_walk(problem, seed):
 
 
 def grid_problem(n_m, n_r, seed, residuals=None):
-    """ebri cell grid of an n_m x n_r sample without purity variables, its
+    """One-row problem of the ebri cell grid of an n_m x n_r sample, its
     balance row checked against dv_k e_l built cell by cell."""
     rng = np.random.default_rng(seed)
     n = n_m + n_r
@@ -49,7 +51,7 @@ def grid_problem(n_m, n_r, seed, residuals=None):
     d = 1.0 + rng.random(n)
     dv = d[~respond] * np.sqrt(z1[~respond])
     e = fit.residuals[respond]
-    problem = build_cells(fit.omega_tilde[respond], e, dv, with_purity_vars=False)
+    problem = one_row_problem(fit.omega_tilde[respond], e, dv)
     a = np.zeros((1, n_m * n_r))
     for k in range(n_m):
         for col in range(n_r):
@@ -129,8 +131,7 @@ def test_grids_balance_unsnapped_start():
         n_m = int(rng.integers(1, 7))
         n_r = int(rng.integers(1, 10))
         psi_row = rng.dirichlet(np.full(n_r, 0.3))
-        problem = build_cells(psi_row, rng.standard_normal(n_r), rng.uniform(1.0, 9.0, n_m),
-                              with_purity_vars=False)
+        problem = one_row_problem(psi_row, rng.standard_normal(n_r), rng.uniform(1.0, 9.0, n_m))
         assert_same_walk(problem, case)
         a = problem.a_matrix[0]
         x = flight_phase(problem, np.random.default_rng(case)).itilde

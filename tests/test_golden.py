@@ -4,15 +4,14 @@ Refactors of the flight, the imputed dataset, the harness and the CLI
 writers must not move these: ``example``'s stdout at two seeds, the donor
 selection and flight diagnostics of a seeded ``impute --method ebri``
 report on an n = 300 sample, that call's CSV and report bytes and its
-report with ``--explain``, the seeded ``rri`` imputed CSV, the CSV and
-report of a seeded ``impute --method ebri --no-purity-vars`` on that
-sample, the tables of a small seeded ``simulate`` on each design, the
-same at one worker and at two, the files a seeded ``generate`` and
-``sample`` write, which the readers must read back bit for bit, and the
-arrays behind them: ``population_truths`` of a seeded population and five
-``rejective_sample`` draws on each proposal.  The ebri report's donors,
-steps and fractional cells depend only on the flight's trajectory, not on
-how the split row's residual mix is rounded, so they are pinned exactly.
+report with ``--explain``, the seeded ``rri`` imputed CSV, the tables of
+a small seeded ``simulate`` on each design, the same at one worker and at
+two, the files a seeded ``generate`` and ``sample`` write, which the
+readers must read back bit for bit, and the arrays behind them:
+``population_truths`` of a seeded population and five ``rejective_sample``
+draws on each proposal.  The ebri report's donors, steps and fractional
+cells depend only on the flight's trajectory, not on how the split row's
+residual mix is rounded, so they are pinned exactly.
 The n = 300 sample is drawn with numpy alone, so the ``impute`` pins do
 not depend on the package's population generator or sampler; the
 ``simulate`` pins cover those.
@@ -96,8 +95,6 @@ EBRI_CSV_SHA256 = "1b2544809e1f4ff19c3db2df7dc18136c7f54e264db8e09dcb6b84661c847
 EBRI_REPORT_SHA256 = "91466d5437c94cc722d6f6f90bceeda782b04c75d90e6455f722b321735db3f3"
 EBRI_EXPLAIN_REPORT_SHA256 = "9df37837ee4b6967c70a65bab1bb1e5dbb34d0d37181fe5f06d023b6b7dc4ecb"
 RRI_CSV_SHA256 = "d3f16bfdcc5b68b0815f6d8376fa639b0b616523519cc088e5906b6a97d0d7aa"
-NO_PURITY_CSV_SHA256 = "71fa2cace826d4979ac981360693483c819af731dbea8133ca0c2ad2041143e5"
-NO_PURITY_REPORT_SHA256 = "54a0c026092c968d8bf22bb79c8172d83d7c4b42f19b16fe993d49a514b946ce"
 SIMULATE_SHA256 = {
     "pips-rejective": {
         "table_total.csv": "d228e710ef410e9f560310520a42f4c022080aa9611ac02da1b7457d3429adca",
@@ -165,18 +162,6 @@ def test_impute_selection_and_rri_csv_pinned(tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert sha256(out.read_bytes()) == RRI_CSV_SHA256
-
-
-def test_impute_without_purity_vars_pinned(tmp_path, capsys):
-    # the one-balance-row flight of --no-purity-vars: 148 x 152 cells
-    src = tmp_path / "s.csv"
-    write_sample_300(src)
-    out, rep = tmp_path / "ebri.csv", tmp_path / "ebri.json"
-    assert main(["impute", "--input", str(src), "--method", "ebri", "--seed", "1103",
-                 "--no-purity-vars", "--out", str(out), "--report", str(rep)]) == 0
-    capsys.readouterr()
-    assert sha256(out.read_bytes()) == NO_PURITY_CSV_SHA256
-    assert sha256(rep.read_bytes()) == NO_PURITY_REPORT_SHA256
 
 
 def test_simulate_tables_pinned(tmp_path, capsys):

@@ -9,7 +9,7 @@ the reference kernel.
 
 import numpy as np
 import pytest
-from flight_oracle import grid_cells
+from flight_oracle import grid_cells, one_row_problem
 
 from balimpute import cube
 from balimpute.cube import CellGrid, FlightPhaseError, flight_phase
@@ -129,8 +129,8 @@ def test_grid_walk_zero_residuals_and_tied_pairs():
             check_invariants(problem, flight_phase(problem, np.random.default_rng(seed)))
     # residuals (-1, -delta, delta, 1) under symmetric psi, so ebar = 0 and
     # the split rows' c_k differ by a factor delta = 10^U(-14, -9); the grid
-    # walk and, without purity variables, the one-row walk keep the balance
-    # to 1e-12 relative to sum |a| pi0
+    # walk, and the one-row walk on the grid's balance row alone, keep the
+    # balance to 1e-12 relative to sum |a| pi0
     rng = np.random.default_rng(96)
     for case in range(1000):
         n_m = int(rng.integers(1, 41))
@@ -141,7 +141,7 @@ def test_grid_walk_zero_residuals_and_tied_pairs():
         dv = rng.uniform(1.0, 9.0, n_m)
         problem = build_cells(psi_row, residuals, dv)
         check_invariants(problem, flight_phase(problem, np.random.default_rng(case)))
-        flat = build_cells(psi_row, residuals, dv, with_purity_vars=False)
+        flat = one_row_problem(psi_row, residuals, dv)
         a, pi0 = flat.a_matrix[0], flat.pi0
         x = flight_phase(flat, np.random.default_rng(case)).itilde
         assert abs(a @ x - a @ pi0) <= 1e-12 * (np.abs(a) @ pi0), case

@@ -7,7 +7,6 @@ from flight_oracle import grid_cells
 from balimpute.cube import CellGrid
 from balimpute.estimators import imputed_total
 from balimpute.imputation import (
-    MAX_GRID_CELLS,
     Mar,
     Mcar,
     build_cells,
@@ -117,12 +116,6 @@ def test_build_cells_thompson_grid():
     assert problem.n_rows == 4  # four purity rows beside the balance row
     np.testing.assert_array_equal(problem.dv, dv)
     np.testing.assert_array_equal(problem.residuals, fit.residuals[:6])
-    # without purity variables, the one balance row dv_k e_l, cell by cell
-    problem = build_cells(fit.omega_tilde[:6], fit.residuals[:6], dv, with_purity_vars=False)
-    assert problem.a_matrix.shape == (1, 24)
-    np.testing.assert_array_equal(problem.a_matrix[0],
-                                  np.outer(dv, fit.residuals[:6]).ravel())
-    np.testing.assert_array_equal(problem.pi0, np.tile(fit.omega_tilde[:6], 4))
 
 
 def test_balance_problem_memory_is_linear_in_cells():
@@ -255,20 +248,10 @@ def test_ebri_full_response_is_identity():
     assert np.array_equal(ds.y_star, y)
 
 
-def test_ebri_without_purity_vars_still_balances():
-    th, fit = thompson_setup()
-    for seed in range(50):
-        ds = impute_ebri(fit, th.z1[:, None], th.y, th.z1, th.d,
-                         np.random.default_rng(seed), with_purity_vars=False)
-        assert abs(balance_gap(fit, ds, th.d, th.z1)) < 1e-10
-        # single constraint: at most one fractional cell
-        assert np.count_nonzero((ds.shares > 0.0) & (ds.shares < 1.0)) <= 1
-
-
 def test_ebri_memory_is_linear_in_sample_size():
-    # a 3,000 x 3,000 grid, 4.5x MAX_GRID_CELLS; its cells alone would take
-    # 72 MB as a dense float array.  The walk holds two donors per row, and
-    # measured 184 bytes per sample unit at its peak
+    # a 3,000 x 3,000 grid; its cells alone would take 72 MB as a dense
+    # float array.  The walk holds two donors per row, and measured 184
+    # bytes per sample unit at its peak
     rng = np.random.default_rng(31)
     n = 6000
     z1 = rng.gamma(2.0, 5.0, size=n)
@@ -282,7 +265,6 @@ def test_ebri_memory_is_linear_in_sample_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ds.n_imputed * (n - ds.n_imputed) > MAX_GRID_CELLS
     assert peak < 400 * n, peak
     assert abs(balance_gap(fit, ds, d, z1)) <= 1e-8 * float(d[~respond] @ np.sqrt(z1[~respond]))
     assert ds.donors.shape == ds.shares.shape == (3000, 2)
